@@ -29,11 +29,6 @@ PR so far has enforced by review comment:
 * ``unguarded-obs`` — observability is nullable by design (zero
   instrumentation cost when disabled): any call through an ``obs``
   handle must sit in a function that guards it against ``None``.
-* ``parallel-unsafe-access`` — modules that execute inside shard
-  worker processes (the spawn target and its staging helpers) must
-  not import host-only layers (session, serving, streaming,
-  observability); a worker that reaches host-owned structures dodges
-  the runtime ownership fences in :mod:`repro.parallel.ownership`.
 
 Suppression: a trailing ``# repolint: disable=rule-a,rule-b`` comment
 on the flagged line whitelists those rules for that line.
@@ -560,70 +555,6 @@ def _session_state_mutation(module: SourceModule):
         )
 
 
-#: Host-only packages a worker-reachable module must never import:
-#: everything in these layers assumes host ownership (tenant ledgers,
-#: result caches, orientation maintainers) and is fenced at runtime by
-#: :func:`repro.parallel.ownership.assert_host_owned`; the lint rule
-#: catches the dependency before it can ship.
-_HOST_ONLY_PREFIXES = (
-    "repro.session",
-    "repro.serving",
-    "repro.streaming",
-    "repro.observability",
-)
-
-#: Modules that execute inside shard worker processes — the spawn
-#: target module and everything it imports transitively.  The host-only
-#: executor (``parallel/executor.py``) is deliberately absent: it runs
-#: in the host process and subclasses the plan executor.
-_WORKER_SIDE_SUFFIXES = (
-    "parallel/workers.py",
-    "parallel/shards.py",
-    "parallel/merge.py",
-    "parallel/ownership.py",
-)
-
-
-def _is_host_only(name: str) -> bool:
-    return any(
-        name == prefix or name.startswith(prefix + ".")
-        for prefix in _HOST_ONLY_PREFIXES
-    )
-
-
-@lint_rule("parallel-unsafe-access")
-def _parallel_unsafe_access(module: SourceModule):
-    """Worker-side parallel modules must not import host-only layers
-    (session, serving, streaming, observability): a shard worker is a
-    pure shard-partial count service, and any dependency on host-owned
-    structures would dodge the runtime ownership fences."""
-    path = module.path.replace("\\", "/")
-    if not any(path.endswith(sfx) for sfx in _WORKER_SIDE_SUFFIXES):
-        return
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            offending = [
-                alias.name
-                for alias in node.names
-                if _is_host_only(alias.name)
-            ]
-        elif isinstance(node, ast.ImportFrom):
-            offending = (
-                [node.module]
-                if node.module is not None and _is_host_only(node.module)
-                else []
-            )
-        else:
-            continue
-        for name in offending:
-            yield (
-                node.lineno,
-                f"worker-side parallel module imports host-only module "
-                f"{name!r}; shard workers are a pure count service and "
-                "must not reach host-owned structures",
-            )
-
-
 #: The stock rule set, in a stable order.
 DEFAULT_RULES = (
     "unseeded-rng",
@@ -632,7 +563,6 @@ DEFAULT_RULES = (
     "error-details",
     "mutable-default-arg",
     "unguarded-obs",
-    "parallel-unsafe-access",
     "shared-structure-write",
     "session-state-mutation",
 )

@@ -404,21 +404,6 @@ class CertifiedSchedule:
         order = tuple(sorted(range(n), key=lambda i: (start[i], i)))
         return lane_of, order
 
-    def assign(self, lanes: int) -> tuple[dict[int, int], tuple[int, ...]]:
-        """The deterministic lane assignment (and simulated order) this
-        schedule's list scheduler produces at ``lanes``, using whatever
-        costs are recorded *now*.
-
-        This is the public seam the parallel executor uses twice: at
-        admission time (certification costs) the assignment is the lane
-        ticket each node must present, and at reconcile time (measured
-        costs) it is the assignment :meth:`what_if` prices — calling it
-        here guarantees both sides simulate the identical placement.
-        """
-        if lanes < 1:
-            raise ConfigError("lanes must be positive")
-        return self._assign(int(lanes))
-
     def what_if(self, lanes: int | None = None) -> ScheduleModel:
         """Modeled parallel cycles at ``lanes`` (default: the certified
         width), mirroring the engine's lane rule: max over lane finish

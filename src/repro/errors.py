@@ -92,12 +92,3 @@ class InjectedFault(SisaError):
     :class:`~repro.serving.faults.FaultInjector` (soak/chaos testing).
     Handled by the pool's retry/isolation machinery like any other
     execution-time fault."""
-
-
-class WorkerCrashError(SisaError):
-    """A shard worker process died or misbehaved mid-batch
-    (:mod:`repro.parallel.workers`): broken pipe, unexpected exit, or a
-    structured error reply.  The pool converts it into a
-    ``FailedResult(reason="worker-crash")`` for the affected session's
-    unfinished plans instead of hanging on the dead pipe; ``details``
-    names the shard, the exit code and the failing request."""

@@ -118,25 +118,6 @@ class Observability:
         self._plans = reg.counter(
             "plans_total", "plan executions by outcome", ("outcome",)
         )
-        self._lane_util = reg.gauge(
-            "parallel_lane_utilization",
-            "per-lane work share of the last parallel run's makespan",
-            ("lane",),
-        )
-        self._shard_vertices = reg.gauge(
-            "parallel_shard_vertices",
-            "vertices owned by each shard in the last parallel run",
-            ("shard",),
-        )
-        self._parallel_units = reg.counter(
-            "parallel_units_total",
-            "count-burst units by execution path (offloaded/inline)",
-            ("path",),
-        )
-        self._parallel_merge = reg.counter(
-            "parallel_merge_cycles_total",
-            "modeled host merge cycles charged across parallel runs",
-        )
 
     # ------------------------------------------------------------------
     # Attribution context
@@ -212,34 +193,6 @@ class Observability:
 
     def plan_done(self, outcome: str) -> None:
         self._plans.inc((outcome,))
-
-    def parallel_run(self, report) -> None:
-        """Publish one reconciled parallel run
-        (:class:`~repro.parallel.merge.ParallelReport`): lane-
-        utilization and shard-balance gauges, offload-path counters,
-        the merge-charge counter, and one detached span per lane
-        (modeled busy cycles) and per shard (owned vertices)."""
-        makespan = report.makespan
-        for lane, work in enumerate(report.lane_work):
-            self._lane_util.set(
-                (str(lane),),
-                work / makespan if makespan > 0.0 else 0.0,
-            )
-        for shard, count in enumerate(report.shard_vertices):
-            self._shard_vertices.set((str(shard),), float(count))
-        self._parallel_units.inc(("offloaded",), report.offloaded_units)
-        self._parallel_units.inc(("inline",), report.inline_units)
-        self._parallel_merge.inc((), report.merge_cycles)
-        for lane, busy in enumerate(report.lane_busy):
-            span = self.spans.start_detached(
-                f"parallel:lane:{lane}", None, {"lanes": report.lanes}
-            )
-            self.spans.end(span, cycles=busy)
-        for shard, count in enumerate(report.shard_vertices):
-            span = self.spans.start_detached(
-                f"parallel:shard:{shard}", None, {"vertices": count}
-            )
-            self.spans.end(span, cycles=None)
 
     def run_done(self) -> None:
         self._runs.inc(())

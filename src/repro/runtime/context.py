@@ -295,9 +295,7 @@ class SisaContext:
     # Batched count operations (amortized dispatch over a frontier)
     # ------------------------------------------------------------------
 
-    def _count_batch(
-        self, op: SetOp, kind: str, a: int, bs, *, inter=None
-    ) -> np.ndarray:
+    def _count_batch(self, op: SetOp, kind: str, a: int, bs) -> np.ndarray:
         """Count-form ``a op b_i`` for a whole frontier ``bs``.
 
         Functionally one vectorized kernel over the concatenated
@@ -305,15 +303,6 @@ class SisaContext:
         amortized SCU dispatch whose per-op costs, stats and SMB
         behaviour — and therefore simulated cycles — are identical to
         issuing the ops sequentially on the current task's lane.
-
-        ``inter`` supplies the per-operand intersection cardinalities
-        precomputed elsewhere (the shard-parallel workers of
-        :mod:`repro.parallel` merge per-shard partials into exactly the
-        array :func:`repro.runtime.batch.intersect_counts` would have
-        produced); the functional kernel is then skipped while the SCU
-        dispatch, engine charge, SMB trajectory and trace are issued
-        unchanged — the simulated machine cannot tell who computed the
-        counts.
         """
         sm = self.sm
         n = len(bs)
@@ -322,10 +311,9 @@ class SisaContext:
         obs = self.obs
         span = obs.kernel_start(f"{kind}_count", n) if obs is not None else None
         va = sm.value(a)
+        values = sm.values_of(bs)
         metas = sm.metas_of(bs)
-        if inter is None:
-            values = sm.values_of(bs)
-            inter = batchmod.intersect_counts(va, values)
+        inter = batchmod.intersect_counts(va, values)
         if kind == "intersect":
             counts = inter
         else:
@@ -440,22 +428,18 @@ class SisaContext:
             SetOp.DIFFERENCE, a, batchmod.difference_values, bs
         )
 
-    def intersect_count_batch(self, a: int, bs, *, inter=None) -> np.ndarray:
+    def intersect_count_batch(self, a: int, bs) -> np.ndarray:
         """``|A ∩ B_i|`` for every set id in ``bs`` (one batched
         instruction burst; no result sets are materialized)."""
-        return self._count_batch(
-            SetOp.INTERSECT_COUNT, "intersect", a, bs, inter=inter
-        )
+        return self._count_batch(SetOp.INTERSECT_COUNT, "intersect", a, bs)
 
-    def union_count_batch(self, a: int, bs, *, inter=None) -> np.ndarray:
+    def union_count_batch(self, a: int, bs) -> np.ndarray:
         """``|A ∪ B_i|`` for every set id in ``bs``."""
-        return self._count_batch(SetOp.UNION_COUNT, "union", a, bs, inter=inter)
+        return self._count_batch(SetOp.UNION_COUNT, "union", a, bs)
 
-    def difference_count_batch(self, a: int, bs, *, inter=None) -> np.ndarray:
+    def difference_count_batch(self, a: int, bs) -> np.ndarray:
         """``|A \\ B_i|`` for every set id in ``bs``."""
-        return self._count_batch(
-            SetOp.DIFFERENCE_COUNT, "difference", a, bs, inter=inter
-        )
+        return self._count_batch(SetOp.DIFFERENCE_COUNT, "difference", a, bs)
 
     _FUSED_OPS = {
         "intersect": SetOp.INTERSECT_COUNT,

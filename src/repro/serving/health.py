@@ -76,15 +76,6 @@ class HealthSnapshot:
     cache_corruptions: int  # poisoned entries caught by fingerprinting
     cache_evictions: int  # entries dropped (LRU bound or injected)
     orientation_resyncs: int  # charged maintainer re-peels
-    # Parallel-serving state of the most recent ``parallel=True`` run
-    # (zero/empty when the pool never ran parallel): lane occupancy is
-    # per-lane work over makespan from the reconciled schedule models
-    # (max/mean across sessions), ``shard_vertices`` the per-shard
-    # vertex counts of the most recently reported session's partition.
-    lane_max_occupancy: float = 0.0
-    lane_mean_occupancy: float = 0.0
-    shard_vertices: tuple = ()
-    worker_crashes: int = 0  # "worker-crash" FailedResults to date
     injected_faults: Mapping = field(default_factory=dict)
     tenants: tuple = ()  # TenantHealth, sorted by tenant name
 
@@ -137,7 +128,6 @@ class HealthSnapshot:
         }
         out["injected_faults"] = dict(self.injected_faults)
         out["tenants"] = [t.as_dict() for t in self.tenants]
-        out["shard_vertices"] = list(self.shard_vertices)
         out["degraded"] = self.degraded
         out["healthy"] = self.healthy
         return out

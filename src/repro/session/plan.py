@@ -731,7 +731,6 @@ class PlanExecutor:
                 node = schedule.nodes[node_id]
                 run = runs[node.plan_index]
                 stage = run.plan.stages[node.stage_index]
-                self._before_node(node_id)
                 w0 = engine.tenant_work_cycles(run.tag)
                 if log is not None:
                     log.refresh(session)
@@ -740,9 +739,9 @@ class PlanExecutor:
                         self._run_node(run, stage)
                 else:
                     self._run_node(run, stage)
-                cycles = engine.tenant_work_cycles(run.tag) - w0
-                schedule.record_cost(node_id, cycles)
-                self._after_node(node_id, cycles)
+                schedule.record_cost(
+                    node_id, engine.tenant_work_cycles(run.tag) - w0
+                )
         except BaseException:
             for run in runs:
                 engine.drop_tenant(run.tag)
@@ -839,34 +838,13 @@ class PlanExecutor:
             if unit is None:
                 break
             with self._slice(run):
-                unit.sink(self._counts(unit))
+                counts = getattr(session.ctx, f"{unit.kind}_count_batch")(
+                    unit.a, unit.bs
+                )
+                unit.sink(counts)
         run.value = stage.result(run.state)
         if key is not None:
             self._publish(key, run.value)
-
-    # -- scheduled-mode extension points -------------------------------
-
-    def _counts(self, unit: BurstUnit) -> np.ndarray:
-        """Execute one scheduled burst unit's count batch.
-
-        The single seam the shard-parallel executor
-        (:class:`repro.parallel.executor.ParallelExecutor`) overrides:
-        it computes the intersection cardinalities on worker processes
-        and feeds them back through the same ``*_count_batch`` dispatch,
-        so modeled cycles and outputs stay bit-identical to this
-        reference implementation.
-        """
-        return getattr(self.session.ctx, f"{unit.kind}_count_batch")(
-            unit.a, unit.bs
-        )
-
-    def _before_node(self, node_id: int) -> None:
-        """Hook before one schedule node executes (no-op here; the
-        parallel executor's lane gate admits the node)."""
-
-    def _after_node(self, node_id: int, cycles: float) -> None:
-        """Hook after one schedule node's cost is recorded (no-op here;
-        the parallel executor's lane gate marks it complete)."""
 
     # -- key lookup ----------------------------------------------------
 

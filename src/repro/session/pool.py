@@ -72,12 +72,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
-from repro.errors import (
-    AdmissionError,
-    ConfigError,
-    ReproError,
-    WorkerCrashError,
-)
+from repro.errors import AdmissionError, ConfigError, ReproError
 from repro.observability import JsonlSink, Observability
 from repro.serving.admission import AdmissionController, RetryPolicy, TenantQuota
 from repro.serving.validation import resolve_execution_config
@@ -173,22 +168,10 @@ class SessionPool:
         self._retries = 0
         self._drift_recompiles = 0
         self._wasted_cycles = 0.0
-        self._worker_crashes = 0
         # The CertifiedSchedule each session's batch ran under in the
         # most recent scheduled run() (session key → schedule), with
         # measured per-node costs — what-if lane models read from here.
         self.last_schedules: dict[Any, Any] = {}
-        # The reconciled ParallelReport of each session's most recent
-        # parallel=True run (session key → report); health() reads the
-        # lane-utilization and shard-balance fields from here.
-        self.last_parallel: dict[Any, Any] = {}
-        # One ShardRuntime per session key under parallel=True, reused
-        # across run() calls (the worker spawn cost amortizes).
-        self._runtimes: dict[Any, Any] = {}
-        # Parallel-execution knobs (read when a runtime is created;
-        # adjust before the first parallel run).
-        self.parallel_policy = "degree"
-        self.parallel_offload_threshold: int | None = None
 
     @property
     def _hardened(self) -> bool:
@@ -260,52 +243,7 @@ class SessionPool:
             if victim is None or victim == next(reversed(self._sessions)):
                 return
             del self._sessions[victim]
-            self._drop_runtime(victim)
             self.evictions += 1
-
-    def _drop_runtime(self, key: Any) -> None:
-        """Close and forget the shard runtime bound to ``key``."""
-        runtime = self._runtimes.pop(key, None)
-        if runtime is not None:
-            runtime.close()
-
-    def _runtime_for(self, key: Any, session: SisaSession, shards: int):
-        """The cached shard runtime for ``key``, (re)built when the
-        session object or the shard width changed."""
-        from repro.parallel.workers import (
-            DEFAULT_OFFLOAD_THRESHOLD,
-            ShardRuntime,
-        )
-
-        runtime = self._runtimes.get(key)
-        if runtime is not None and (
-            runtime.closed
-            or runtime.session is not session
-            or runtime.shards != shards
-        ):
-            self._drop_runtime(key)
-            runtime = None
-        if runtime is None:
-            threshold = self.parallel_offload_threshold
-            runtime = ShardRuntime(
-                session,
-                shards,
-                policy=self.parallel_policy,
-                offload_threshold=(
-                    DEFAULT_OFFLOAD_THRESHOLD
-                    if threshold is None
-                    else threshold
-                ),
-            )
-            self._runtimes[key] = runtime
-        return runtime
-
-    def close(self) -> None:
-        """Shut down every shard worker runtime (idempotent).  Safe to
-        skip — runtimes also tear down via GC finalizers — but explicit
-        shutdown makes worker exit deterministic in tests and CLIs."""
-        for key in list(self._runtimes):
-            self._drop_runtime(key)
 
     # ------------------------------------------------------------------
     # Submitting and running plans
@@ -454,7 +392,6 @@ class SessionPool:
         verify: bool = False,
         lanes: int | None = None,
         racecheck: bool = False,
-        parallel: bool = False,
     ) -> list[RunResult | FailedResult]:
         """Execute every queued plan; results in submission order.
 
@@ -503,25 +440,12 @@ class SessionPool:
         plan the pool gives up on yields a
         :class:`~repro.session.result.FailedResult` in its slot — no
         exception escapes for a plan failure.
-
-        ``parallel=True`` (implies the scheduled path; default width 4
-        when ``lanes`` is not given) executes each certified schedule
-        on the sharded worker subsystem (:mod:`repro.parallel`): one
-        worker process per lane owns one shard of the vertex universe,
-        count bursts fan out for per-shard partial counts merged in
-        fixed shard order, and the run reconciles its modeled cycles
-        exactly against ``schedule.what_if(lanes)`` plus the host merge
-        charges.  Outputs, per-tenant ledgers and modeled cycles are
-        bit-identical to the sequential scheduled run.  A worker crash
-        yields structured ``FailedResult(reason="worker-crash")`` slots
-        for the session's unfinished plans instead of a hang; other
-        sessions' batches still run.
         """
-        scheduled = lanes is not None or racecheck or parallel
+        scheduled = lanes is not None or racecheck
         if scheduled and self._hardened:
             raise ConfigError(
-                "scheduled execution (lanes/racecheck/parallel) is "
-                "strict-mode only; drop the retry policy / fault injector"
+                "scheduled execution (lanes/racecheck) is strict-mode "
+                "only; drop the retry policy / fault injector"
             )
         self._promote_deferred()
         obs = self.obs
@@ -536,7 +460,6 @@ class SessionPool:
                 results = self._run_scheduled(
                     lanes=lanes if lanes is not None else 4,
                     racecheck=racecheck,
-                    parallel=parallel,
                 )
             elif self._hardened:
                 results = self._run_hardened(verify=verify)
@@ -599,15 +522,12 @@ class SessionPool:
         return [results[idx] for idx, __, __ in pending]
 
     def _run_scheduled(
-        self, *, lanes: int, racecheck: bool, parallel: bool = False
-    ) -> list[RunResult | FailedResult]:
+        self, *, lanes: int, racecheck: bool
+    ) -> list[RunResult]:
         """Certify each session's batch into a dependency-DAG schedule
         and execute it in topological order, optionally under the race
-        detector and/or on the sharded worker subsystem.  Strict drift
-        semantics: any stale plan fails the whole call before work
-        starts.  Under ``parallel=True`` a worker crash degrades only
-        the owning session's batch (structured ``"worker-crash"``
-        failures); it does not abort the call."""
+        detector.  Strict drift semantics: any stale plan fails the
+        whole call before work starts."""
         # Deferred import: analysis is outside the serving hot path.
         from repro.analysis.static.racecheck import (
             AccessLog,
@@ -624,10 +544,8 @@ class SessionPool:
         by_session: OrderedDict[Any, list] = OrderedDict()
         for idx, key, plan in pending:
             by_session.setdefault(key, []).append((idx, plan))
-        results: dict[int, RunResult | FailedResult] = {}
+        results: dict[int, RunResult] = {}
         self.last_schedules = {}
-        if parallel:
-            self.last_parallel = {}
         rec = self.obs.spans if self.obs is not None else None
         try:
             for key, entries in by_session.items():
@@ -662,77 +580,34 @@ class SessionPool:
                         else None
                     )
                     try:
-                        if parallel:
-                            from repro.parallel.executor import (
-                                ParallelExecutor,
-                            )
-
-                            executor = ParallelExecutor(
-                                session,
-                                fuse_width=self.fuse_width,
-                                schedule=schedule,
-                                access_log=log,
-                                runtime=self._runtime_for(
-                                    key, session, lanes
-                                ),
-                                lanes=lanes,
-                            )
-                        else:
-                            executor = PlanExecutor(
-                                session,
-                                fuse_width=self.fuse_width,
-                                schedule=schedule,
-                                access_log=log,
-                            )
-                        try:
-                            if racecheck:
-                                with instrument_session(session, log), \
-                                        instrument_pool_ledgers(self, log):
-                                    batch = executor.execute(plans)
-                                    for (idx, plan), result in zip(
-                                        ordered, batch
-                                    ):
-                                        results[idx] = result
-                                        self._charge(
-                                            plan.tenant or "default", result
-                                        )
-                                raise_on_races(
-                                    find_races(schedule, log),
-                                    context=f"session {key!r} scheduled "
-                                    f"replay (lanes={lanes})",
-                                )
-                            else:
+                        executor = PlanExecutor(
+                            session,
+                            fuse_width=self.fuse_width,
+                            schedule=schedule,
+                            access_log=log,
+                        )
+                        if racecheck:
+                            with instrument_session(session, log), \
+                                    instrument_pool_ledgers(self, log):
+                                batch = executor.execute(plans)
                                 for (idx, plan), result in zip(
-                                    ordered, executor.execute(plans)
+                                    ordered, batch
                                 ):
                                     results[idx] = result
                                     self._charge(
                                         plan.tenant or "default", result
                                     )
-                        except WorkerCrashError as exc:
-                            # The dead worker pool poisons only this
-                            # session's batch: unfinished plans get a
-                            # structured failure slot, the runtime is
-                            # torn down (a fresh one spawns on the next
-                            # parallel run), other sessions proceed.
-                            self._drop_runtime(key)
-                            for idx, plan in ordered:
-                                if idx in results:
-                                    continue
-                                self._failed += 1
-                                self._worker_crashes += 1
-                                results[idx] = FailedResult(
-                                    workload=plan.name,
-                                    params=dict(plan.params),
-                                    tenant=plan.tenant or "default",
-                                    reason="worker-crash",
-                                    error=exc,
-                                    attempts=1,
-                                    details=dict(exc.details),
-                                )
+                            raise_on_races(
+                                find_races(schedule, log),
+                                context=f"session {key!r} scheduled replay "
+                                f"(lanes={lanes})",
+                            )
                         else:
-                            if parallel:
-                                self.last_parallel[key] = executor.report
+                            for (idx, plan), result in zip(
+                                ordered, executor.execute(plans)
+                            ):
+                                results[idx] = result
+                                self._charge(plan.tenant or "default", result)
                     finally:
                         if rec is not None and rspan is not None:
                             rec.end(rspan)
@@ -989,13 +864,6 @@ class SessionPool:
             if self.fault_injector is not None
             else {}
         )
-        lane_max = 0.0
-        lane_means: list[float] = []
-        shard_vertices: tuple = ()
-        for report in self.last_parallel.values():
-            lane_max = max(lane_max, report.lane_max_occupancy)
-            lane_means.append(report.lane_mean_occupancy)
-            shard_vertices = report.shard_vertices
         return HealthSnapshot(
             sessions=len(self._sessions),
             pending=len(self._pending),
@@ -1009,12 +877,6 @@ class SessionPool:
             cache_corruptions=cache_corruptions,
             cache_evictions=cache_evictions,
             orientation_resyncs=orientation_resyncs,
-            lane_max_occupancy=lane_max,
-            lane_mean_occupancy=(
-                sum(lane_means) / len(lane_means) if lane_means else 0.0
-            ),
-            shard_vertices=shard_vertices,
-            worker_crashes=self._worker_crashes,
             injected_faults=injected,
             tenants=tuple(tenants),
         )

@@ -45,12 +45,6 @@ class RunResult:
     # topological order (repro.analysis.static.schedule); accounting is
     # per-tenant-attributed exactly as in fused mode.
     scheduled: bool = False
-    # True when the scheduled replay additionally fanned its count
-    # bursts out to shard worker processes (repro.parallel); outputs,
-    # ledgers and modeled cycles are certified bit-identical to the
-    # sequential scheduled run, so this flag is provenance, not a
-    # semantic fork.
-    parallel: bool = False
     # With observability enabled, the root Span of this run's span tree
     # (``plan:{name}`` → stages → kernels); dump it with
     # :func:`repro.observability.write_chrome_trace`.  None otherwise.
@@ -100,10 +94,6 @@ class FailedResult:
       retry policy forbade (or exhausted) recompiles;
     * ``"budget-exhausted"`` — the owning tenant's cycle budget ran out
       before the plan started;
-    * ``"worker-crash"`` — a shard worker process died mid-batch under
-      parallel execution (:class:`~repro.errors.WorkerCrashError`); the
-      session's unfinished plans get this slot instead of hanging on
-      the dead pipe;
     * ``"error"`` — any other execution-time exception.
 
     ``retry_cycles`` is the modeled work spent on this plan's failed

@@ -35,7 +35,7 @@ from repro.algorithms.link_prediction import (
 from repro.algorithms.similarity import all_pairs_similarity_on, similarity_on
 from repro.algorithms.subgraph_iso import subgraph_isomorphism_on
 from repro.algorithms.triangles import triangle_count_oriented
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GraphError
 from repro.graphs.csr import CSRGraph
 from repro.runtime.setgraph import SetGraph
 from repro.session.registry import workload
@@ -579,6 +579,13 @@ def _link_prediction(
     rng = np.random.default_rng(seed)
     edges = graph.edge_array()
     m = edges.shape[0]
+    # Checked at run time, not submit time: a stream can empty the
+    # graph after the plan was compiled.
+    if m == 0:
+        raise GraphError(
+            "link_prediction needs at least one edge to hold out",
+            details={"num_vertices": n, "num_edges": 0},
+        )
     removed_count = max(1, int(removal_fraction * m))
     removed_idx = rng.choice(m, size=removed_count, replace=False)
     removed_mask = np.zeros(m, dtype=bool)

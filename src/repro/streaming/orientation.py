@@ -40,7 +40,6 @@ from repro.errors import ConfigError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.digraph import DiGraph, orient_by_order
 from repro.graphs.orientation import degeneracy_order, induced_out_degrees
-from repro.parallel.ownership import assert_host_owned
 from repro.streaming.graph import ensure_live_view
 from repro.streaming.incremental import StreamMaintainer
 
@@ -182,7 +181,6 @@ class IncrementalOrientation(StreamMaintainer):
         return updates, srcs
 
     def on_deletions(self, dynamic, edges: np.ndarray) -> None:
-        assert_host_owned("orientation-maintainer", op="on_deletions")
         ensure_live_view(dynamic)
         if self.repeel_every_batch or len(edges) == 0:
             return
@@ -196,7 +194,6 @@ class IncrementalOrientation(StreamMaintainer):
         self._synced_mutations = dynamic.mutations
 
     def on_insertions(self, dynamic, edges: np.ndarray) -> None:
-        assert_host_owned("orientation-maintainer", op="on_insertions")
         ensure_live_view(dynamic)
         if self.repeel_every_batch or len(edges) == 0:
             return
@@ -209,7 +206,6 @@ class IncrementalOrientation(StreamMaintainer):
         self.revision += 1
 
     def on_applied(self, dynamic, touched: np.ndarray) -> None:
-        assert_host_owned("orientation-maintainer", op="on_applied")
         ensure_live_view(dynamic)
         self.stats.batches += 1
         if self.obs is not None:
@@ -284,7 +280,6 @@ class IncrementalOrientation(StreamMaintainer):
         ``N+`` set — so avoiding re-peels is what the maintainer's
         modeled-cycle win is measured against.
         """
-        assert_host_owned("orientation-maintainer", op="repeel")
         if self.event is not None:
             self.event("write")
         ctx = self.ctx
@@ -333,7 +328,6 @@ class IncrementalOrientation(StreamMaintainer):
         next oriented-structure access degrades to a charged
         :meth:`resync` — the serving fault injector uses this to
         exercise that path on demand."""
-        assert_host_owned("orientation-maintainer", op="mark_desynced")
         if self.event is not None:
             self.event("write")
         self._synced_mutations = -1

@@ -290,17 +290,28 @@ class TestPoolScheduled:
         assert schedule.measured
         assert schedule.what_if().speedup >= 1.5
 
-    def test_lanes_without_racecheck_also_schedules(self, soak_reference):
-        pool = SessionPool(threads=8)
-        count = _submit_soak(pool, tenants=2)
-        results = pool.run(lanes=2)
-        assert len(results) == count
-        assert all(r.ok and r.scheduled for r in results)
-        for result in results:
-            assert (
-                fingerprint(result.output)
-                == soak_reference[result.workload]
-            )
+    @pytest.mark.parametrize("lanes", [1, 2, 4])
+    def test_lanes_without_racecheck_also_schedules(
+        self, soak_reference, lanes
+    ):
+        pools = [SessionPool(threads=8), SessionPool(threads=8)]
+        runs = []
+        for pool in pools:
+            count = _submit_soak(pool, tenants=2)
+            results = pool.run(lanes=lanes)
+            assert len(results) == count
+            assert all(r.ok and r.scheduled for r in results)
+            for result in results:
+                assert (
+                    fingerprint(result.output)
+                    == soak_reference[result.workload]
+                )
+            runs.append(results)
+        # Two fresh pools at the same width charge identically.
+        assert [r.report.runtime_cycles for r in runs[0]] == [
+            r.report.runtime_cycles for r in runs[1]
+        ]
+        assert pools[0].tenant_cycles == pools[1].tenant_cycles
 
     def test_scheduled_run_matches_default_pool_run(self):
         scheduled = SessionPool(threads=8)

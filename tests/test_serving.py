@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from repro.errors import (
     AdmissionError,
     ConfigError,
+    GraphError,
     InjectedFault,
     SisaError,
     ValidationError,
 )
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import gnp_random_graph
 from repro.serving import (
     AdmissionController,
@@ -342,6 +344,20 @@ class TestFaultIsolation:
         assert pool.tenant_retry_cycles["t0"] > 0.0
         assert pool.tenant_retry_cycles.get("t1", 0.0) == 0.0
         assert pool.health().wasted_cycles == pool.tenant_retry_cycles["t0"]
+
+    def test_edgeless_link_prediction_fails_structured(self):
+        edgeless = CSRGraph.from_edges(10, np.zeros((0, 2), np.int64))
+        with pytest.raises(GraphError) as info:
+            SisaSession(edgeless).run("link_prediction")
+        assert info.value.details == {"num_vertices": 10, "num_edges": 0}
+        pool = SessionPool(retry=RetryPolicy(max_retries=1), threads=2)
+        pool.submit("empty", "link_prediction", graph=edgeless, tenant="t0")
+        pool.submit("g", "triangles", graph=_graph(), tenant="t1")
+        results = pool.run()
+        assert isinstance(results[0], FailedResult)
+        assert isinstance(results[0].error, GraphError)
+        baseline = SisaSession(_graph(), threads=2).run("triangles")
+        assert results[1].ok and results[1].output == baseline.output
 
     def test_drift_recompile_and_retry(self):
         pool = SessionPool(retry=RetryPolicy(), threads=2)
