@@ -14,12 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
 from repro.algorithms.similarity import (
     BATCHABLE_MEASURES,
     iter_shared_first_runs,
@@ -90,26 +84,3 @@ def clusters_from_edges(
     for w in touched:
         groups.setdefault(find(w), set()).add(w)
     return sorted(groups.values(), key=lambda s: (-len(s), min(s)))
-
-
-def jarvis_patrick(
-    graph: CSRGraph,
-    *,
-    tau: float = 2.0,
-    measure: str = "common_neighbors",
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    batch: bool = True,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: Jarvis-Patrick clustering (cl-*) on a cold
-    session."""
-    warn_one_shot("jarvis_patrick", "jarvis_patrick")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(
-        session.run("jarvis_patrick", tau=tau, measure=measure, batch=batch)
-    )

@@ -12,15 +12,8 @@ nested loops and an ``intersect_count``.
 
 from __future__ import annotations
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    PatternBudget,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
+from repro.algorithms.common import PatternBudget
 from repro.errors import ConfigError, SisaError
-from repro.graphs.csr import CSRGraph
 from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
 
@@ -115,33 +108,6 @@ def kclique_count_on(
     return total
 
 
-def kclique_count(
-    graph: CSRGraph,
-    k: int,
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    max_patterns: int | None = None,
-    collect: bool = False,
-    batch: bool = True,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: k-clique counting/listing (kcc-k) on a cold
-    session."""
-    warn_one_shot("kclique_count", "kclique")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(
-        session.run(
-            "kclique", k=k, max_patterns=max_patterns, collect=collect,
-            batch=batch,
-        )
-    )
-
-
 def four_clique_count_on(
     ctx: SisaContext,
     sg: SetGraph,
@@ -209,24 +175,3 @@ def four_clique_count_on(
                     break
             ctx.free(s1)
     return count
-
-
-def four_clique_count(
-    graph: CSRGraph,
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    max_patterns: int | None = None,
-    batch: bool = True,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: specialized 4-clique counting on a cold session."""
-    warn_one_shot("four_clique_count", "four_clique")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(
-        session.run("four_clique", max_patterns=max_patterns, batch=batch)
-    )

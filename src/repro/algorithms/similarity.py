@@ -11,14 +11,7 @@ import math
 
 import numpy as np
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
 from repro.errors import ConfigError
-from repro.graphs.csr import CSRGraph
 from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
 
@@ -228,21 +221,3 @@ def all_pairs_similarity_on(
         ctx.begin_task()
         scores[i] = similarity_on(ctx, sg, int(u), int(v), measure=measure)
     return scores
-
-
-def vertex_similarity(
-    graph: CSRGraph,
-    u: int,
-    v: int,
-    *,
-    measure: str = "jaccard",
-    threads: int = 1,
-    mode: str = "sisa",
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: one pair similarity on a cold session."""
-    warn_one_shot("vertex_similarity", "similarity")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, **context_kwargs
-    )
-    return one_shot_result(session.run("similarity", u=u, v=v, measure=measure))

@@ -8,13 +8,6 @@ once and bounds the merge work by ``O(m c)`` (paper Section 7.2).
 
 from __future__ import annotations
 
-from repro.algorithms.common import (
-    AlgorithmRun,
-    one_shot_result,
-    one_shot_session,
-    warn_one_shot,
-)
-from repro.graphs.csr import CSRGraph
 from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
 
@@ -43,43 +36,3 @@ def triangle_count_oriented(
                     out_u, digraph_sg.neighborhood(int(v))
                 )
     return total
-
-
-def triangle_count(
-    graph: CSRGraph,
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    batch: bool = True,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: triangle counting on a cold session."""
-    warn_one_shot("triangle_count", "triangles")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(session.run("triangles", batch=batch))
-
-
-def clustering_coefficient(
-    graph: CSRGraph,
-    *,
-    threads: int = 32,
-    mode: str = "sisa",
-    t: float = 0.4,
-    budget: float = 0.1,
-    batch: bool = True,
-    **context_kwargs,
-) -> AlgorithmRun:
-    """Deprecated shim: global clustering coefficient on a cold session.
-
-    The paper motivates triangle counting by clustering coefficients
-    (Section 5.1.1); this derived metric exercises the same kernel.
-    """
-    warn_one_shot("clustering_coefficient", "clustering_coefficient")
-    session = one_shot_session(
-        graph, threads=threads, mode=mode, t=t, budget=budget, **context_kwargs
-    )
-    return one_shot_result(session.run("clustering_coefficient", batch=batch))

@@ -3,7 +3,7 @@
 Before the session API, the same ~10 keyword arguments (``threads``,
 ``mode``, ``t``, ``budget``, ``policy``, ``gallop_threshold``,
 ``smb_enabled``, ``hw``, ``cpu``, ``trace``, ``batch``) were copy-pasted
-across ``run_algorithm`` and every algorithm entry point.  They now live
+across every per-call algorithm entry point.  They now live
 in one frozen, validated dataclass; a :class:`SisaSession` is configured
 once and every run inherits the configuration.
 """

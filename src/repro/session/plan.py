@@ -357,7 +357,10 @@ class PlanExecutor:
         self.fault_injector = fault_injector
         # Burst fusion needs the SCU; the host baseline executes the
         # unfused batched stream (dedup/prep sharing still apply).
-        self._fuse_bursts = fuse and session.ctx.mode == "sisa"
+        # A schedule replays node by node, so it never fuses either.
+        self._fuse_bursts = (
+            fuse and schedule is None and session.ctx.mode == "sisa"
+        )
         self._done: dict[tuple, Any] = {}
         self._owners: dict[tuple, _PlanRun] = {}
 
@@ -417,10 +420,9 @@ class PlanExecutor:
                     "the certified schedule was built for a different plan "
                     "batch (workloads or stage lists differ); re-certify"
                 )
-            return self._execute_scheduled(plans)
-        if not self.fuse:
+        elif not self.fuse:
             return [self._execute_sequential(plan) for plan in plans]
-        return self._execute_fused(plans)
+        return self._execute_batch(plans)
 
     def execute_isolated(
         self, plans: list[WorkloadPlan]
@@ -569,7 +571,7 @@ class PlanExecutor:
             raise
 
     # ------------------------------------------------------------------
-    # Fused mode
+    # Batch mode (fused or certified-schedule replay)
     # ------------------------------------------------------------------
 
     @contextmanager
@@ -616,10 +618,25 @@ class PlanExecutor:
         finally:
             engine.set_tenant(None)
 
-    def _execute_fused(self, plans: list[WorkloadPlan]) -> list[RunResult]:
+    def _execute_batch(self, plans: list[WorkloadPlan]) -> list[RunResult]:
+        """The one batch loop behind fused and certified-schedule
+        execution: both step the same per-plan :meth:`_advance` state
+        machine and share run setup, failure teardown and result
+        assembly.
+
+        Without a schedule, runs advance round-robin one step at a time
+        and ready count bursts buffer into fused macros.  With one,
+        each ``(plan, stage)`` node runs to completion in exactly the
+        order ``schedule.order`` dictates, unfused (node isolation is
+        the point of a replay; whole-plan and stage-key dedup still
+        apply) — the dependency DAG's dedup edges guarantee every
+        cache-key owner publishes before a follower starts, so any
+        topological order is output-identical (the certifier's core
+        claim, property-tested)."""
         from repro.isa.scu import DispatchStats
 
         session = self.session
+        engine = session.ctx.engine
         obs = getattr(session, "obs", None)
         rec = obs.spans if obs is not None else None
         # Interleaved plans get detached spans under whatever span is
@@ -628,36 +645,22 @@ class PlanExecutor:
         self._span_parent = rec.current if rec is not None else None
         runs = []
         for i, plan in enumerate(plans):
-            tag = ("plan", i, plan.name)
-            run = _PlanRun(plan, tag)
+            run = _PlanRun(plan, ("plan", i, plan.name))
             run.stats = DispatchStats()
             runs.append(run)
-        buffer: list[tuple[BurstUnit, _PlanRun]] = []
-        engine = session.ctx.engine
         try:
-            pending = list(runs)
-            while pending:
-                progressed = False
-                still = []
-                for run in pending:
-                    progressed |= self._advance(run, buffer)
-                    if not run.finished:
-                        still.append(run)
-                pending = still
-                if pending and not progressed:
-                    # Every remaining run waits on a key whose owner sits
-                    # in the buffer: drain it so owners can publish.
-                    if buffer:
-                        self._flush(buffer)
-                    else:  # pragma: no cover - ownership chains are acyclic
-                        raise SisaError("plan batch deadlocked on dedup keys")
-            self._flush(buffer)
+            if self.schedule is None:
+                self._drive_fused(runs)
+            else:
+                for node_id in self.schedule.order:
+                    self._replay_node(runs, node_id)
         except BaseException:
             # A failed batch must not leak per-plan shadow lanes into
             # the long-lived engine (pool callers retry batches).
             for run in runs:
                 engine.drop_tenant(run.tag)
             raise
+        scheduled = self.schedule is not None
         results = []
         for run in runs:
             report = engine.tenant_report(run.tag)
@@ -673,7 +676,8 @@ class PlanExecutor:
                 warm=run.warm,
                 session=session,
                 cached=run.cached,
-                fused=True,
+                fused=not scheduled,
+                scheduled=scheduled,
             )
             if rec is not None and run.span is not None:
                 if run.span.t1 is None:
@@ -692,159 +696,65 @@ class PlanExecutor:
             session.run_count += 1
         return results
 
-    # ------------------------------------------------------------------
-    # Scheduled (certified-replay) mode
-    # ------------------------------------------------------------------
+    def _drive_fused(self, runs: list[_PlanRun]) -> None:
+        """Advance every run one step per round until all finish,
+        flushing buffered bursts as fused macros."""
+        buffer: list[tuple[BurstUnit, _PlanRun]] = []
+        pending = list(runs)
+        while pending:
+            progressed = False
+            still = []
+            for run in pending:
+                progressed |= self._advance(run, buffer)
+                if not run.finished:
+                    still.append(run)
+            pending = still
+            if pending and not progressed:
+                # Every remaining run waits on a key whose owner sits
+                # in the buffer: drain it so owners can publish.
+                if buffer:
+                    self._flush(buffer)
+                else:  # pragma: no cover - ownership chains are acyclic
+                    raise SisaError("plan batch deadlocked on dedup keys")
+        self._flush(buffer)
 
-    def _execute_scheduled(self, plans: list[WorkloadPlan]) -> list[RunResult]:
-        """Execute the batch in the certified schedule's explicit node
-        order.
-
-        Each ``(plan, stage)`` node runs as one attributed slice, in
-        exactly the order ``schedule.order`` dictates — the dependency
-        DAG's dedup edges guarantee every cache-key owner publishes
-        before a follower starts, so any topological order is
-        output-identical (the certifier's core claim, property-tested).
-        Bursts execute unfused (node isolation is the point of a
-        replay); whole-plan and stage-key dedup still apply.  Each
-        node's attributed tenant-work delta is recorded back into the
-        schedule (:meth:`CertifiedSchedule.record_cost`), feeding the
-        measured what-if model; with an access log, execution is
-        bracketed per node so shared-structure hooks attribute to it.
-        """
-        from repro.isa.scu import DispatchStats
-
+    def _replay_node(self, runs: list[_PlanRun], node_id: int) -> None:
+        """Run one schedule node — one whole stage of one plan — and
+        record its attributed tenant-work delta back into the schedule
+        (:meth:`CertifiedSchedule.record_cost`, feeding the measured
+        what-if model).  With an access log the node is bracketed so
+        shared-structure hooks attribute to it."""
         schedule = self.schedule
         log = self.access_log
-        session = self.session
-        engine = session.ctx.engine
-        obs = getattr(session, "obs", None)
-        rec = obs.spans if obs is not None else None
-        self._span_parent = rec.current if rec is not None else None
-        runs = []
-        for i, plan in enumerate(plans):
-            run = _PlanRun(plan, ("plan", i, plan.name))
-            run.stats = DispatchStats()
-            runs.append(run)
-        try:
-            for node_id in schedule.order:
-                node = schedule.nodes[node_id]
-                run = runs[node.plan_index]
-                stage = run.plan.stages[node.stage_index]
-                w0 = engine.tenant_work_cycles(run.tag)
-                if log is not None:
-                    log.refresh(session)
-                    log.declared(node_id, stage)
-                    with log.at(node_id, stage.label):
-                        self._run_node(run, stage)
-                else:
-                    self._run_node(run, stage)
-                schedule.record_cost(
-                    node_id, engine.tenant_work_cycles(run.tag) - w0
-                )
-        except BaseException:
-            for run in runs:
-                engine.drop_tenant(run.tag)
-            raise
-        results = []
-        for run in runs:
-            report = engine.tenant_report(run.tag)
-            engine.drop_tenant(run.tag)
-            result = RunResult(
-                workload=run.plan.name,
-                output=run.output,
-                report=report,
-                stats=run.stats,
-                registrations=run.registrations,
-                config=session.config,
-                params=dict(run.plan.params),
-                warm=run.warm,
-                session=session,
-                cached=run.cached,
-                scheduled=True,
-            )
-            if rec is not None and run.span is not None:
-                if run.span.t1 is None:
-                    rec.end(run.span, cycles=report.work_cycles)
-                result.spans = run.span
-                obs.plan_wall(
-                    run.plan.tenant or "default",
-                    run.plan.name,
-                    run.span.wall_seconds,
-                )
-                obs.plan_done("cached" if run.cached else "ok")
-            results.append(result)
-            session.run_count += 1
-        return results
+        node = schedule.nodes[node_id]
+        run = runs[node.plan_index]
+        engine = self.session.ctx.engine
+        w0 = engine.tenant_work_cycles(run.tag)
+        if log is None:
+            self._advance_stage(run)
+        else:
+            stage = run.plan.stages[node.stage_index]
+            log.refresh(self.session)
+            log.declared(node_id, stage)
+            with log.at(node_id, stage.label):
+                self._advance_stage(run)
+        schedule.record_cost(node_id, engine.tenant_work_cycles(run.tag) - w0)
 
-    def _run_node(self, run: _PlanRun, stage: PlanStage) -> None:
-        """Execute one schedule node (one stage of one plan)."""
-        if not run.started:
-            if not self._start(run):  # pragma: no cover - dedup edges
+    def _advance_stage(self, run: _PlanRun) -> None:
+        """Advance ``run`` through its current stage (starting the run
+        first if needed, finishing it after its last stage).  A
+        whole-plan cache hit at start finishes the run, which makes
+        every later node of the plan a zero-cost skip.  Burst fusion is
+        off under a schedule, so no unit is ever buffered."""
+        stage_idx = run.stage_idx
+        while not run.finished and run.stage_idx == stage_idx:
+            if not self._advance(run, []):  # pragma: no cover - dedup edges
                 raise SisaError(
                     "certified schedule ordered a follower before its "
                     "dedup owner published; the dependency DAG is wrong"
                 )
-        if run.finished:
-            # Whole-plan cache hit at _start: every node of this plan
-            # is a zero-cost skip.
-            return
-        obs = getattr(self.session, "obs", None)
-        self._inject(run.plan, stage.label)
-        if obs is not None:
-            run.stage_span = obs.spans.start_detached(
-                f"stage:{stage.label}", run.span
-            )
-            run.stage_w0 = self.session.ctx.engine.tenant_work_cycles(run.tag)
-        try:
-            if stage.kind == "call":
-                with self._slice(run):
-                    run.value = stage.run(self.session, run.state)
-            else:
-                self._run_burst_node(run, stage)
-        finally:
-            if obs is not None and run.stage_span is not None:
-                obs.spans.end(
-                    run.stage_span,
-                    cycles=self.session.ctx.engine.tenant_work_cycles(run.tag)
-                    - run.stage_w0,
-                )
-                run.stage_span = None
-        run.stage_idx += 1
-        if run.stage_idx >= len(run.plan.stages):
+        if not run.finished and run.stage_idx >= len(run.plan.stages):
             self._finish(run)
-
-    def _run_burst_node(self, run: _PlanRun, stage: PlanStage) -> None:
-        """One burst stage, unfused, with stage-key dedup: a follower
-        whose key the owner already published seeds instead of
-        executing (the schedule's dedup edges order the owner first)."""
-        session = self.session
-        key = self._stage_key(stage, run.plan)
-        if key is not None:
-            found, value = self._lookup(key)
-            if found:
-                stage.seed(run.state, value)
-                run.value = stage.result(run.state)
-                obs = getattr(session, "obs", None)
-                if obs is not None:
-                    obs.dedup(run.plan.name)
-                return
-            self._owners[key] = run
-        with self._attribute(run):
-            gen = stage.units(session, run.state)
-        while True:
-            with self._attribute(run):
-                unit = next(gen, None)
-            if unit is None:
-                break
-            with self._slice(run):
-                counts = getattr(session.ctx, f"{unit.kind}_count_batch")(
-                    unit.a, unit.bs
-                )
-                unit.sink(counts)
-        run.value = stage.result(run.state)
-        if key is not None:
-            self._publish(key, run.value)
 
     # -- key lookup ----------------------------------------------------
 

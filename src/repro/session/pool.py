@@ -72,17 +72,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
-from repro.errors import AdmissionError, ConfigError, ReproError
+from repro.errors import AdmissionError, ConfigError
 from repro.observability import JsonlSink, Observability
 from repro.serving.admission import AdmissionController, RetryPolicy, TenantQuota
 from repro.serving.validation import resolve_execution_config
 from repro.session.config import ExecutionConfig
-from repro.session.plan import (
-    PlanExecutor,
-    WorkloadPlan,
-    compile_plan,
-    failure_reason,
-)
+from repro.session.plan import PlanExecutor, WorkloadPlan, compile_plan
 from repro.session.result import FailedResult, RunResult
 from repro.session.session import SisaSession
 
@@ -111,6 +106,8 @@ class SessionPool:
     ):
         if max_sessions <= 0:
             raise ConfigError("max_sessions must be positive")
+        if fuse_width < 1:
+            raise ConfigError("fuse_width must be positive")
         # Override keys go through the serving rule engine: a typo'd
         # knob raises ConfigError naming the bad key in ``details``.
         config = resolve_execution_config(config, overrides)
@@ -456,15 +453,11 @@ class SessionPool:
             else None
         )
         try:
-            if scheduled:
-                results = self._run_scheduled(
-                    lanes=lanes if lanes is not None else 4,
-                    racecheck=racecheck,
-                )
-            elif self._hardened:
-                results = self._run_hardened(verify=verify)
-            else:
-                results = self._run_strict(verify=verify)
+            if racecheck and lanes is None:
+                lanes = 4
+            results = self._run_batches(
+                verify=verify, lanes=lanes, racecheck=racecheck
+            )
         finally:
             if rec is not None:
                 rec.end(span)
@@ -474,21 +467,37 @@ class SessionPool:
                 obs.flush_sink(self.health().as_dict(), self._completed)
         return results
 
-    def _run_strict(self, *, verify: bool = False) -> list[RunResult]:
-        # Fail fast on drift before any tenant's work starts — one
-        # tenant's stale plan must not cost another tenant's computed
-        # results.
-        for __, __, plan in self._pending:
-            plan.check_version()
+    def _run_batches(
+        self, *, verify: bool, lanes: int | None, racecheck: bool
+    ) -> list[RunResult | FailedResult]:
+        """The one run loop: drain the queue, group plans by session,
+        order each session's batch round-robin across tenants, execute
+        it, charge each result as it lands, and evict.  Only how a batch
+        executes differs per mode (:meth:`_execute`)."""
+        if not self._hardened:
+            # Fail fast on drift before any tenant's work starts — one
+            # tenant's stale plan must not cost another tenant's
+            # computed results.
+            for __, __, plan in self._pending:
+                plan.check_version()
+        if lanes is not None:
+            self.last_schedules = {}
         pending, self._pending = self._pending, []
         by_session: OrderedDict[Any, list] = OrderedDict()
         for idx, key, plan in pending:
             by_session.setdefault(key, []).append((idx, plan))
-        results: dict[int, RunResult] = {}
+        results: dict[int, RunResult | FailedResult] = {}
         rec = self.obs.spans if self.obs is not None else None
+
+        def deliver(idx: int, plan: WorkloadPlan, result) -> None:
+            results[idx] = result
+            if isinstance(result, FailedResult):
+                self._failed += 1
+            else:
+                self._charge(plan.tenant or "default", result)
+
         try:
             for key, entries in by_session.items():
-                session = self._sessions[key]
                 ordered = _round_robin_by_tenant(entries)
                 sspan = (
                     rec.start(f"session:{key}", {"plans": len(ordered)})
@@ -496,18 +505,14 @@ class SessionPool:
                     else None
                 )
                 try:
-                    executor = PlanExecutor(
-                        session,
-                        fuse=self.fuse,
-                        fuse_width=self.fuse_width,
-                        verify=verify,
-                    )
-                    for (idx, plan), result in zip(
+                    self._execute(
+                        key,
                         ordered,
-                        executor.execute([plan for __, plan in ordered]),
-                    ):
-                        results[idx] = result
-                        self._charge(plan.tenant or "default", result)
+                        deliver,
+                        verify=verify,
+                        lanes=lanes,
+                        racecheck=racecheck,
+                    )
                 finally:
                     if rec is not None:
                         rec.end(sspan)
@@ -521,174 +526,119 @@ class SessionPool:
         self._evict()
         return [results[idx] for idx, __, __ in pending]
 
-    def _run_scheduled(
-        self, *, lanes: int, racecheck: bool
-    ) -> list[RunResult]:
-        """Certify each session's batch into a dependency-DAG schedule
-        and execute it in topological order, optionally under the race
-        detector.  Strict drift semantics: any stale plan fails the
-        whole call before work starts."""
-        # Deferred import: analysis is outside the serving hot path.
+    def _execute(
+        self, key, ordered, deliver, *, verify, lanes, racecheck
+    ) -> None:
+        """Execute one session's round-robin-ordered ``(idx, plan)``
+        batch, handing each result to ``deliver`` in batch order.  This
+        is the loop's only per-mode branch: hardened per-plan retry, a
+        certified schedule (optionally under the race detector), or one
+        plain executor call."""
+        session = self._sessions[key]
+        plans = [plan for __, plan in ordered]
+        if self._hardened:
+            if self.fault_injector is not None:
+                self.fault_injector.before_batch(session, plans)
+            for idx, plan in ordered:
+                result = self._run_plan_hardened(session, plan, verify=verify)
+                deliver(idx, plan, result)
+            return
+        rec = self.obs.spans if self.obs is not None else None
+        schedule = log = None
+        if lanes is not None:
+            # Deferred import: analysis is outside the serving hot path.
+            from repro.analysis.static.racecheck import AccessLog
+            from repro.analysis.static.schedule import certify_schedule
+
+            cspan = (
+                rec.start("schedule:certify", {"lanes": lanes})
+                if rec is not None
+                else None
+            )
+            try:
+                schedule = certify_schedule(
+                    plans, lanes=lanes, fuse_width=self.fuse_width
+                )
+            finally:
+                if rec is not None:
+                    rec.end(cspan)
+            self.last_schedules[key] = schedule
+            log = AccessLog() if racecheck else None
+        executor = PlanExecutor(
+            session,
+            fuse=self.fuse,
+            fuse_width=self.fuse_width,
+            # Certifying the schedule already verified the batch.
+            verify=verify and schedule is None,
+            schedule=schedule,
+            access_log=log,
+        )
+        if log is None:
+            for (idx, plan), result in zip(ordered, executor.execute(plans)):
+                deliver(idx, plan, result)
+            return
         from repro.analysis.static.racecheck import (
-            AccessLog,
             find_races,
             instrument_pool_ledgers,
             instrument_session,
             raise_on_races,
         )
-        from repro.analysis.static.schedule import certify_schedule
 
-        for __, __, plan in self._pending:
-            plan.check_version()
-        pending, self._pending = self._pending, []
-        by_session: OrderedDict[Any, list] = OrderedDict()
-        for idx, key, plan in pending:
-            by_session.setdefault(key, []).append((idx, plan))
-        results: dict[int, RunResult] = {}
-        self.last_schedules = {}
-        rec = self.obs.spans if self.obs is not None else None
+        rspan = (
+            rec.start("racecheck:replay", {"nodes": len(schedule)})
+            if rec is not None
+            else None
+        )
         try:
-            for key, entries in by_session.items():
-                session = self._sessions[key]
-                ordered = _round_robin_by_tenant(entries)
-                plans = [plan for __, plan in ordered]
-                sspan = (
-                    rec.start(f"session:{key}", {"plans": len(ordered)})
-                    if rec is not None
-                    else None
-                )
-                try:
-                    cspan = (
-                        rec.start("schedule:certify", {"lanes": lanes})
-                        if rec is not None
-                        else None
-                    )
-                    try:
-                        schedule = certify_schedule(
-                            plans, lanes=lanes, fuse_width=self.fuse_width
-                        )
-                    finally:
-                        if rec is not None:
-                            rec.end(cspan)
-                    self.last_schedules[key] = schedule
-                    log = AccessLog() if racecheck else None
-                    rspan = (
-                        rec.start(
-                            "racecheck:replay", {"nodes": len(schedule)}
-                        )
-                        if rec is not None and racecheck
-                        else None
-                    )
-                    try:
-                        executor = PlanExecutor(
-                            session,
-                            fuse_width=self.fuse_width,
-                            schedule=schedule,
-                            access_log=log,
-                        )
-                        if racecheck:
-                            with instrument_session(session, log), \
-                                    instrument_pool_ledgers(self, log):
-                                batch = executor.execute(plans)
-                                for (idx, plan), result in zip(
-                                    ordered, batch
-                                ):
-                                    results[idx] = result
-                                    self._charge(
-                                        plan.tenant or "default", result
-                                    )
-                            raise_on_races(
-                                find_races(schedule, log),
-                                context=f"session {key!r} scheduled replay "
-                                f"(lanes={lanes})",
-                            )
-                        else:
-                            for (idx, plan), result in zip(
-                                ordered, executor.execute(plans)
-                            ):
-                                results[idx] = result
-                                self._charge(plan.tenant or "default", result)
-                    finally:
-                        if rec is not None and rspan is not None:
-                            rec.end(rspan)
-                finally:
-                    if rec is not None:
-                        rec.end(sspan)
-        except BaseException:
-            self._pending = [
-                e for e in pending if e[0] not in results
-            ] + self._pending
-            raise
-        self._evict()
-        return [results[idx] for idx, __, __ in pending]
-
-    def _run_hardened(
-        self, *, verify: bool = False
-    ) -> list[RunResult | FailedResult]:
-        pending, self._pending = self._pending, []
-        by_session: OrderedDict[Any, list] = OrderedDict()
-        for idx, key, plan in pending:
-            by_session.setdefault(key, []).append((idx, plan))
-        results: dict[int, RunResult | FailedResult] = {}
-        rec = self.obs.spans if self.obs is not None else None
-        try:
-            for key, entries in by_session.items():
-                session = self._sessions[key]
-                ordered = _round_robin_by_tenant(entries)
-                sspan = (
-                    rec.start(f"session:{key}", {"plans": len(ordered)})
-                    if rec is not None
-                    else None
-                )
-                try:
-                    if self.fault_injector is not None:
-                        self.fault_injector.before_batch(
-                            session, [plan for __, plan in ordered]
-                        )
-                    for idx, plan in ordered:
-                        results[idx] = self._run_plan_hardened(
-                            session, plan, verify=verify
-                        )
-                finally:
-                    if rec is not None:
-                        rec.end(sspan)
-        except BaseException:
-            # Only non-recoverable interrupts reach here (plan failures
-            # become FailedResults); keep unfinished work queued.
-            self._pending = [
-                e for e in pending if e[0] not in results
-            ] + self._pending
-            raise
-        self._evict()
-        return [results[idx] for idx, __, __ in pending]
+            with instrument_session(session, log), \
+                    instrument_pool_ledgers(self, log):
+                for (idx, plan), result in zip(
+                    ordered, executor.execute(plans)
+                ):
+                    deliver(idx, plan, result)
+            raise_on_races(
+                find_races(schedule, log),
+                context=f"session {key!r} scheduled replay (lanes={lanes})",
+            )
+        finally:
+            if rec is not None:
+                rec.end(rspan)
 
     def _run_plan_hardened(
         self, session: SisaSession, plan: WorkloadPlan, *, verify: bool = False
     ) -> RunResult | FailedResult:
         """One plan, isolated: budget gate → (re)compile if stale →
         attempt → on failure charge the wasted cycles to the tenant's
-        retry ledger and try again, up to the policy bound."""
+        retry ledger and try again, up to the policy bound.  Each
+        attempt runs through :meth:`PlanExecutor.execute_isolated`, the
+        one place an execution failure becomes a FailedResult."""
         tenant = plan.tenant or "default"
         retry = self.retry if self.retry is not None else _DEFAULT_RETRY
         injector = self.fault_injector
         current = plan
         attempts = 0
         plan_retry_cycles = 0.0
-        last_exc: BaseException | None = None
+        last_failure: FailedResult | None = None
+
+        def give_up(reason: str, details: dict) -> FailedResult:
+            return FailedResult(
+                workload=plan.name,
+                params=dict(plan.params),
+                tenant=plan.tenant,
+                reason=reason,
+                error=last_failure.error if last_failure else None,
+                attempts=attempts,
+                retry_cycles=plan_retry_cycles,
+                details=details,
+            )
+
         while attempts < retry.max_attempts:
             if self.admission is not None and self.admission.budget_exhausted(
                 tenant, self._spent(tenant)
             ):
-                self._failed += 1
-                return FailedResult(
-                    workload=plan.name,
-                    params=dict(plan.params),
-                    tenant=plan.tenant,
-                    reason="budget-exhausted",
-                    error=last_exc,
-                    attempts=attempts,
-                    retry_cycles=plan_retry_cycles,
-                    details={
+                return give_up(
+                    "budget-exhausted",
+                    {
                         "tenant": tenant,
                         "spent_cycles": self._spent(tenant),
                         "cycle_budget": self.admission.quota(tenant).cycle_budget,
@@ -696,16 +646,9 @@ class SessionPool:
                 )
             if current.stale:
                 if not retry.recompile_on_drift:
-                    self._failed += 1
-                    return FailedResult(
-                        workload=plan.name,
-                        params=dict(plan.params),
-                        tenant=plan.tenant,
-                        reason="drift",
-                        error=last_exc,
-                        attempts=attempts,
-                        retry_cycles=plan_retry_cycles,
-                        details={
+                    return give_up(
+                        "drift",
+                        {
                             "pinned_version": current.version,
                             "stream_version": session._version,
                         },
@@ -720,45 +663,35 @@ class SessionPool:
             if injector is not None:
                 injector.before_plan(session, current)
             mark = session.ctx.mark()
-            executor = PlanExecutor(
+            # The retry loop handles only the package's own failure
+            # taxonomy (injected faults, drift, hazards, validation) —
+            # a foreign exception is a bug, not a transient, and
+            # propagates to the caller instead of burning retries.
+            (result,) = PlanExecutor(
                 session,
                 fuse=self.fuse,
                 fuse_width=self.fuse_width,
                 fault_injector=injector,
                 verify=verify,
+            ).execute_isolated([current])
+            if not isinstance(result, FailedResult):
+                return result
+            attempts += 1
+            last_failure = result
+            wasted = _report_work_cycles(session.ctx.report_since(mark))
+            plan_retry_cycles += wasted
+            self._wasted_cycles += wasted
+            self._tenant_retry_cycles[tenant] = (
+                self._tenant_retry_cycles.get(tenant, 0.0) + wasted
             )
-            try:
-                (result,) = executor.execute([current])
-            except ReproError as exc:
-                # The retry loop handles only the package's own failure
-                # taxonomy (injected faults, drift, hazards, validation)
-                # — a foreign exception is a bug, not a transient, and
-                # propagates to the caller instead of burning retries.
-                attempts += 1
-                last_exc = exc
-                wasted = _report_work_cycles(session.ctx.report_since(mark))
-                plan_retry_cycles += wasted
-                self._wasted_cycles += wasted
-                self._tenant_retry_cycles[tenant] = (
-                    self._tenant_retry_cycles.get(tenant, 0.0) + wasted
-                )
-                if self.obs is not None:
-                    self.obs.charge_retry(tenant, wasted)
-                if attempts < retry.max_attempts:
-                    self._retries += 1
-                continue
-            self._charge(tenant, result)
-            return result
-        self._failed += 1
-        return FailedResult(
-            workload=plan.name,
-            params=dict(plan.params),
-            tenant=plan.tenant,
-            reason=failure_reason(current, last_exc),
-            error=last_exc,
-            attempts=attempts,
-            retry_cycles=plan_retry_cycles,
-            details={"tenant": tenant, "max_attempts": retry.max_attempts},
+            if self.obs is not None:
+                self.obs.charge_retry(tenant, wasted)
+            if attempts < retry.max_attempts:
+                self._retries += 1
+        # max_attempts >= 1, so the loop only exits after a failure.
+        return give_up(
+            last_failure.reason if last_failure else "error",
+            {"tenant": tenant, "max_attempts": retry.max_attempts},
         )
 
     def _charge(self, tenant: str, result: RunResult) -> None:

@@ -125,9 +125,9 @@ def workload(
 def _ensure_default_workloads() -> None:
     """Load the built-in workload definitions.
 
-    Deferred (not imported by ``repro.session``'s ``__init__``) because
-    the definitions import the algorithm kernels, whose modules import
-    ``repro.session`` for their deprecated one-shot shims.
+    Deferred (not imported by ``repro.session``'s ``__init__``) so that
+    importing the session API does not pull in every algorithm kernel
+    until a workload is first looked up.
     """
     import repro.session.workloads  # noqa: F401  (registration side effect)
 

@@ -5,10 +5,11 @@ Each workload wraps one of the set-centric algorithm kernels
 owning session's caches, so repeated runs skip context construction,
 neighborhood-set registration and degeneracy orientation.  The kernels
 themselves are untouched — a cold session issues exactly the
-instruction stream the deprecated one-shot entry points issued.
+instruction stream of the kernel run on a freshly built context and
+SetGraph (asserted against the ``*_on`` kernels in the session tests).
 
-This module is imported lazily by the registry (the algorithm modules
-import ``repro.session`` for their deprecated shims).
+This module is imported lazily by the registry, on first workload
+lookup.
 """
 
 from __future__ import annotations

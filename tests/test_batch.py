@@ -16,9 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.clustering import jarvis_patrick
 from repro.algorithms.kclique import four_clique_count_on, kclique_count_on
-from repro.algorithms.link_prediction import link_prediction_effectiveness
 from repro.algorithms.similarity import (
     COUNT_MEASURES,
     all_pairs_similarity_on,
@@ -31,6 +29,7 @@ from repro.graphs.generators import gnp_random_graph
 from repro.runtime import batch as batchmod
 from repro.runtime.context import SisaContext
 from repro.runtime.setgraph import SetGraph
+from repro.session import SisaSession
 from repro.sets import kernels
 from repro.sets.bitops import _popcount_unpackbits, popcount
 from repro.sets.dense import DenseBitvector
@@ -325,13 +324,15 @@ class TestAlgorithmEquivalence:
         assert ctx.instruction_count < ctx2.instruction_count
 
     def test_jarvis_patrick_batch_functional(self, graph):
-        batched = jarvis_patrick(graph, tau=1.5, threads=4)
-        scalar = jarvis_patrick(graph, tau=1.5, threads=4, batch=False)
+        batched = SisaSession(graph, threads=4).run("jarvis_patrick", tau=1.5)
+        scalar = SisaSession(graph, threads=4).run(
+            "jarvis_patrick", tau=1.5, batch=False
+        )
         assert batched.output == scalar.output
 
     def test_link_prediction_unchanged(self, graph):
-        run = link_prediction_effectiveness(
-            graph, removal_fraction=0.15, threads=4, seed=3
+        run = SisaSession(graph, threads=4).run(
+            "link_prediction", removal_fraction=0.15, seed=3
         )
         assert run.output.effectiveness >= 0
         assert run.output.predicted_edges > 0

@@ -342,6 +342,28 @@ class TestPoolObservability:
             )
             assert stage_cycles == pytest.approx(root.cycles, rel=1e-9)
 
+    def test_scheduled_and_fused_runs_give_identical_plan_trees(self):
+        # Fused and certified-schedule batches step one state machine,
+        # so a deduped stage (the triangle count inside
+        # clustering_coefficient) opens no stage span under either.
+        def plan_trees(**run_kwargs):
+            pool = SessionPool(observability=True, threads=4)
+            pool.session("g", _graph())
+            for name in ("triangles", "clustering_coefficient", "triangles"):
+                pool.submit("g", name)
+            return [
+                [
+                    (span.name, depth)
+                    for span, depth in result.spans.walk()
+                    if span.name.startswith(("plan:", "stage:"))
+                ]
+                for result in pool.run(**run_kwargs)
+            ]
+
+        fused = plan_trees()
+        assert ("stage:bursts:triangles", 1) not in fused[1]
+        assert plan_trees(lanes=2) == fused
+
     def test_batch_trace_has_five_span_levels(self, tmp_path):
         pool = SessionPool(observability=True, threads=4)
         pool.session("g", _graph())

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, SisaError
 from repro.graphs.generators import chung_lu_graph, gnp_random_graph
 from repro.graphs.streams import EdgeBatch, canonical_edges
+from repro.serving.admission import RetryPolicy
 from repro.session import (
     ExecutionConfig,
     PlanExecutor,
@@ -417,30 +418,45 @@ class TestFusedExecution:
         assert session.run_many([], fuse=False) == []
 
     def test_failed_fused_batch_leaks_no_tenant_state(self):
-        session = SisaSession(_graph(), ExecutionConfig(threads=8))
-        plans = [
-            session.compile("triangles"),
-            session.compile("fsm", sigma=0.5),
-        ]
+        _check_failed_batch_leaks_no_tenant_state(scheduled=False)
 
-        # Malformed params now fail at compile (the serving rule
-        # engine), so force the mid-batch failure with a stage fault on
-        # the second plan instead: the first plan has already executed
-        # attributed slices when the batch dies.
-        class _FailSecondPlan:
-            def on_stage(self, plan, stage):
-                if plan.name == "fsm":
-                    raise SisaError("injected mid-batch failure")
+    def test_failed_scheduled_batch_leaks_no_tenant_state(self):
+        # Fused and certified-schedule execution share one batch
+        # loop, so the tenant-lane teardown on failure is one code
+        # path; pin it from both entry points.
+        _check_failed_batch_leaks_no_tenant_state(scheduled=True)
 
-        with pytest.raises(Exception):
-            session.run_many(
-                plans, fuse=True, fault_injector=_FailSecondPlan()
-            )
-        assert session.ctx.engine._tenants == {}
-        # The session still serves follow-up batches normally.
-        (tri,) = session.run_many(["triangles"], fuse=True)
-        ref = SisaSession(_graph(), ExecutionConfig(threads=8)).run("triangles")
-        assert tri.output == ref.output
+
+def _check_failed_batch_leaks_no_tenant_state(*, scheduled):
+    from repro.analysis.static.schedule import certify_schedule
+
+    session = SisaSession(_graph(), ExecutionConfig(threads=8))
+    plans = [
+        session.compile("triangles"),
+        session.compile("fsm", sigma=0.5),
+    ]
+
+    # Malformed params now fail at compile (the serving rule engine),
+    # so force the mid-batch failure with a stage fault on the second
+    # plan instead: the first plan has already executed attributed
+    # slices when the batch dies.
+    class _FailSecondPlan:
+        def on_stage(self, plan, stage):
+            if plan.name == "fsm":
+                raise SisaError("injected mid-batch failure")
+
+    executor = PlanExecutor(
+        session,
+        schedule=certify_schedule(plans) if scheduled else None,
+        fault_injector=_FailSecondPlan(),
+    )
+    with pytest.raises(SisaError, match="mid-batch"):
+        executor.execute(plans)
+    assert session.ctx.engine._tenants == {}
+    # The session still serves follow-up batches normally.
+    (tri,) = session.run_many(["triangles"], fuse=True)
+    ref = SisaSession(_graph(), ExecutionConfig(threads=8)).run("triangles")
+    assert tri.output == ref.output
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +551,14 @@ class TestSessionPool:
     def test_pool_validates_max_sessions(self):
         with pytest.raises(ConfigError):
             SessionPool(max_sessions=0)
+
+    @pytest.mark.parametrize("hardened", [False, True])
+    def test_pool_validates_fuse_width(self, hardened):
+        # Rejected at construction, before any plan can be queued
+        # against a pool whose every run() would fail.
+        retry = RetryPolicy() if hardened else None
+        with pytest.raises(ConfigError, match="fuse_width"):
+            SessionPool(fuse_width=0, retry=retry)
 
     def test_key_collision_with_different_graph_rejected(self):
         pool = SessionPool(ExecutionConfig(threads=8), max_sessions=2)

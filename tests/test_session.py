@@ -4,10 +4,10 @@ Contracts under test:
 
 * ``ExecutionConfig`` is frozen and validates every knob,
 * the registry dispatches by name and rejects unknown workloads,
-* a *cold* session (and therefore every deprecated one-shot shim,
-  which is implemented on top of one) issues an instruction stream
-  identical to the legacy per-call path — same outputs, same simulated
-  cycles, same per-opcode instruction counts,
+* a *cold* session issues an instruction stream identical to the
+  legacy per-call path (the ``*_on`` kernel on a freshly built context
+  and SetGraph) — same outputs, same simulated cycles, same per-opcode
+  instruction counts,
 * a *warm* session returns outputs identical to a fresh per-call run
   while performing zero set re-registrations for count-only workloads
   (hypothesis property),
@@ -20,8 +20,6 @@ Contracts under test:
   insert/remove, ``intersect_count_batch``, ``intersect_many``,
   context-manager lifetime) behave and cost as specified.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -193,7 +191,7 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Cold-session / shim identity with the legacy per-call path
+# Cold-session identity with the legacy per-call path
 # ---------------------------------------------------------------------------
 
 
@@ -294,49 +292,6 @@ class TestColdSessionIdentity:
         # The cold session's lifetime report equals the per-run report.
         assert session.ctx.report().runtime_cycles == result.runtime_cycles
         assert not result.warm
-
-    @pytest.mark.parametrize("mode", ["sisa", "cpu-set"])
-    def test_shims_equal_cold_session(self, mode):
-        """The deprecated one-shot entry points are cycle-identical to a
-        cold session run (they are implemented on top of one)."""
-        graph = _graph()
-        from repro.algorithms import kclique_count
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = kclique_count(graph, 4, threads=16, mode=mode)
-        result = SisaSession(
-            graph, ExecutionConfig(threads=16, mode=mode)
-        ).run("kclique", k=4)
-        assert shim.output == result.output
-        assert shim.runtime_cycles == result.runtime_cycles
-        assert shim.context.instruction_count == result.instructions
-
-    def test_shims_warn_deprecation(self):
-        from repro.algorithms import triangle_count
-        from repro.algorithms.common import reset_one_shot_warnings
-
-        reset_one_shot_warnings()
-        with pytest.warns(DeprecationWarning, match="SisaSession") as records:
-            triangle_count(_graph(), threads=4)
-        # The notice points at this test (the shim's caller), not at
-        # the shim module.
-        assert any(r.filename == __file__ for r in records)
-
-    def test_shim_warning_deduplicated_per_entry_point(self):
-        from repro.algorithms import triangle_count
-        from repro.algorithms.common import reset_one_shot_warnings
-
-        reset_one_shot_warnings()
-        graph = _graph()
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            triangle_count(graph, threads=4)
-            triangle_count(graph, threads=4)  # same entry point: silent
-        assert (
-            sum(issubclass(r.category, DeprecationWarning) for r in records)
-            == 1
-        )
 
     def test_run_workload_convenience(self):
         result = run_workload(_graph(), "triangles", config=ExecutionConfig(threads=8))
