@@ -55,7 +55,13 @@ class DiGraph:
         if arr.size:
             np.add.at(offsets, arr[:, 0] + 1, 1)
         np.cumsum(offsets, out=offsets)
-        targets = arr[:, 1] if arr.size else np.empty(0, dtype=VERTEX_DTYPE)
+        # A contiguous copy: a column view would keep the whole arc
+        # array alive and make every out-neighborhood a strided view.
+        targets = (
+            np.ascontiguousarray(arr[:, 1])
+            if arr.size
+            else np.empty(0, dtype=VERTEX_DTYPE)
+        )
         return cls(offsets, targets)
 
     @property

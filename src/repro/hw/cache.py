@@ -48,6 +48,37 @@ class LruCache:
             self._entries.popitem(last=False)
         return False
 
+    def access_many(self, keys: list[int]) -> bytes:
+        """:meth:`access` every key in order; returns one hit flag
+        (0/1) per access.  Same trajectory and stats as the loop of
+        single accesses, in one tight loop."""
+        n = len(keys)
+        if self.capacity == 0:
+            self.stats.misses += n
+            return bytes(n)
+        entries = self._entries
+        move = entries.move_to_end
+        evict = entries.popitem
+        capacity = self.capacity
+        size = len(entries)
+        flags: list[int] = []
+        flag = flags.append
+        for key in keys:
+            if key in entries:
+                move(key)
+                flag(1)
+            else:
+                entries[key] = None
+                flag(0)
+                if size == capacity:
+                    evict(False)
+                else:
+                    size += 1
+        hits = sum(flags)
+        self.stats.hits += hits
+        self.stats.misses += n - hits
+        return bytes(flags)
+
     def invalidate(self, key: int) -> None:
         self._entries.pop(key, None)
 

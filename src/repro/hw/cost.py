@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cost:
     compute_cycles: float = 0.0
     memory_bytes: float = 0.0

@@ -15,6 +15,7 @@ analysis (Fig. 9a) and the stalled-cycle motivation plot (Fig. 1).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -230,6 +231,61 @@ class ExecutionEngine:
             for x in latency:
                 acc += x
             shadow.latency_cycles = acc
+
+    def charge_tasks(
+        self,
+        offsets: list[int],
+        compute: list[float],
+        memory: list[float],
+        latency: list[float],
+    ) -> list[int]:
+        """Run a sequence of tasks: task ``t`` is placed exactly as
+        :meth:`begin_task` would place it (greedy, least-loaded lane,
+        task counted, tenant shadow lanes mirrored), then charged the
+        cost components ``[offsets[t], offsets[t + 1])`` left to right —
+        the float additions a ``begin_task`` plus one :meth:`charge` per
+        component triple would perform.  Returns the lane of every task;
+        the last task's lane stays current."""
+        bpc = self.bytes_per_cycle
+        lanes = self._lanes
+        times = self._lane_times
+        shadow = self._tenant_lanes
+        current = self._current
+        # (time, lane) pairs kept sorted: the head is begin_task's
+        # ``times.index(min(times))`` (lowest lane among equal times).
+        order = sorted(zip(times, range(len(times))))
+        placed = []
+        hi = offsets[0]
+        for t in range(len(offsets) - 1):
+            lane = lanes[current]
+            time = (
+                lane.compute_cycles + lane.latency_cycles
+                + lane.memory_bytes / bpc
+            )
+            if time != times[current]:
+                del order[bisect_left(order, (times[current], current))]
+                insort(order, (time, current))
+                times[current] = time
+            current = order[0][1]
+            placed.append(current)
+            lo = hi
+            hi = offsets[t + 1]
+            for lane in (lanes[current],) if shadow is None else (
+                lanes[current], shadow[current]
+            ):
+                lane.tasks += 1
+                c = lane.compute_cycles
+                m = lane.memory_bytes
+                lat = lane.latency_cycles
+                for i in range(lo, hi):
+                    c += compute[i]
+                    m += memory[i]
+                    lat += latency[i]
+                lane.compute_cycles = c
+                lane.memory_bytes = m
+                lane.latency_cycles = lat
+        self._current = current
+        return placed
 
     # -- per-tenant attribution --------------------------------------------
 

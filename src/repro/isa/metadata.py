@@ -10,13 +10,13 @@ lookups cheap when metadata is hot.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import SetError
 from repro.sets.base import Representation, VertexSet
 
 
-@dataclass
+@dataclass(slots=True)
 class SetMeta:
     """One SM entry: what the SCU knows about a set."""
 
@@ -26,6 +26,10 @@ class SetMeta:
     universe: int
     # A synthetic 'address' so the model can mimic address mapping.
     address: int
+    # The backing set value, kept on the entry so the table holds one
+    # map instead of two.  Model-internal: SCU decisions and costs read
+    # only the metadata fields above.
+    value: VertexSet | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_dense(self) -> bool:
@@ -37,7 +41,6 @@ class SetMetadataTable:
 
     def __init__(self) -> None:
         self._meta: dict[int, SetMeta] = {}
-        self._values: dict[int, VertexSet] = {}
         self._ids = itertools.count(1)
         self._next_address = 0x1000_0000
         # Monotonic count of register() calls — the session API's reuse
@@ -68,9 +71,9 @@ class SetMetadataTable:
                 universe=value.universe,
                 address=self._next_address,
             )
+        meta.value = value
         self._meta[set_id] = meta
         self._next_address += max(64, value.storage_bits // 8)
-        self._values[set_id] = value
         return set_id
 
     def update(self, set_id: int, value: VertexSet) -> None:
@@ -78,7 +81,7 @@ class SetMetadataTable:
         meta.representation = value.representation
         meta.cardinality = value.cardinality
         meta.universe = value.universe
-        self._values[set_id] = value
+        meta.value = value
 
     def meta(self, set_id: int) -> SetMeta:
         try:
@@ -88,7 +91,7 @@ class SetMetadataTable:
 
     def value(self, set_id: int) -> VertexSet:
         try:
-            return self._values[set_id]
+            return self._meta[set_id].value
         except KeyError:
             raise SetError(f"unknown set id {set_id}") from None
 
@@ -102,16 +105,16 @@ class SetMetadataTable:
 
     def values_of(self, set_ids) -> list[VertexSet]:
         """Backing values for a whole frontier."""
-        values = self._values
+        meta = self._meta
         try:
-            return [values[s] for s in set_ids]
+            return [meta[s].value for s in set_ids]
         except KeyError as exc:
             raise SetError(f"unknown set id {exc.args[0]}") from None
 
     def delete(self, set_id: int) -> None:
         meta = self.meta(set_id)  # raise on unknown ids
         del self._meta[set_id]
-        del self._values[set_id]
+        meta.value = None
         self._free.append(meta)
 
     def __contains__(self, set_id: int) -> bool:

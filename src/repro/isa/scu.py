@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import IsaError
 from repro.hw.cache import LruCache
 from repro.hw.config import CpuConfig, HardwareConfig
@@ -122,6 +124,145 @@ class BatchDispatch:
 
     def __len__(self) -> int:
         return len(self.opcodes)
+
+
+@dataclass
+class StageDispatch:
+    """Outcome of one SCU pass over a chunk of a whole count stage.
+
+    Decisions are stored once per unique operand-shape key
+    (``opcodes``/``backends``/``variants``) and referenced per op by
+    ``key_of``; per-op cost components are float64 arrays formed by
+    the same float additions, in the same order, as
+    :meth:`Scu.dispatch_binary_batch`.  ``fetch_compute`` /
+    ``fetch_latency`` cost the post-burst cardinality fetches (their
+    memory component is zero); task ``t``'s fetches are
+    ``fetch_offsets[t]:fetch_offsets[t + 1]``.
+    """
+
+    opcodes: list[Opcode]
+    backends: list[str]
+    variants: list[str]
+    key_of: np.ndarray
+    compute: np.ndarray
+    memory: np.ndarray
+    latency: np.ndarray
+    fetch_compute: np.ndarray
+    fetch_latency: np.ndarray
+    fetch_offsets: np.ndarray
+
+
+#: Representation codes the stage dispatch packs into shape keys.
+_REP_CODE = {
+    Representation.SPARSE_SORTED: 0,
+    Representation.SPARSE_UNSORTED: 1,
+    Representation.DENSE: 2,
+}
+
+
+def _shape_key(
+    op: SetOp, a: SetMeta, b: SetMeta, output_size: int, count_only: bool
+) -> tuple:
+    """The decision-memo key of ``a op b``: everything the variant
+    decision and model cost depend on, and nothing else."""
+    dense = Representation.DENSE
+    a_dense = a.representation is dense
+    b_dense = b.representation is dense
+    if a_dense and b_dense:
+        return ("d", op, count_only, a.universe)
+    if a_dense or b_dense:
+        sparse_card = b.cardinality if a_dense else a.cardinality
+        return ("m", op, a_dense, sparse_card, output_size)
+    bigger = a if a.cardinality >= b.cardinality else b
+    return (
+        "s",
+        op,
+        a.cardinality,
+        b.cardinality,
+        output_size,
+        bigger.representation is Representation.SPARSE_UNSORTED,
+    )
+
+
+def _first_occurrence_keys(
+    ca: np.ndarray, cb: np.ndarray, ra: np.ndarray, rb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group count-form ops by their :func:`_shape_key` class.
+
+    ``ca``/``cb`` rank the operands' cardinalities (order-preserving,
+    below ``2**30``) and ``ra``/``rb`` are their representation codes.
+    Returns ``(key_of, first, counts, keys)``: each op's key number
+    (keys numbered in first-occurrence order), the first op of every
+    key, every key's op count, and every key packed into one int64 —
+    class, flag and cardinality ranks, unique among the keys of one
+    stage (one op, one universe).
+    """
+    a_dense = ra == 2
+    b_dense = rb == 2
+    mixed = a_dense != b_dense
+    sparse = ~(a_dense | b_dense)
+    bigger_unsorted = np.where(ca >= cb, ra, rb) == 1
+    cls = np.where(sparse, 4 + bigger_unsorted, np.where(mixed, 2 + a_dense, 0))
+    x = np.where(sparse, ca, np.where(mixed, np.where(a_dense, cb, ca), 0))
+    y = np.where(sparse, cb, 0)
+    keys, first, inverse = np.unique(
+        (cls << 60) | (x << 30) | y, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.size)
+    key_of = renumber[inverse.ravel()]
+    counts = np.bincount(key_of, minlength=order.size)
+    return key_of, first[order], counts, keys[order]
+
+
+class StageOperands:
+    """The SM entries of every operand set of one count stage.
+
+    Sets are addressed by rank (position in ``metas``, whose set ids
+    are ``set_ids``).  The shape columns the stage dispatch keys
+    decisions on are extracted once per stage.  The stage also keeps
+    every decision it has made or read — sorted packed shape keys in
+    ``known``, the decision tuples in ``decisions`` — so a shape is
+    resolved once per stage, not once per chunk, and shapes first seen
+    after the shared memo reached its limit stay decided.
+    """
+
+    def __init__(self, set_ids: np.ndarray, metas: list[SetMeta]):
+        n = len(metas)
+        code = _REP_CODE
+        self.metas = metas
+        self.set_ids = set_ids
+        cards = np.fromiter((m.cardinality for m in metas), np.int64, n)
+        self.card_rank = np.unique(cards, return_inverse=True)[1].ravel()
+        self.codes = np.fromiter(
+            (code[m.representation] for m in metas), np.int64, n
+        )
+        self.known = np.zeros(0, dtype=np.int64)
+        self.known_decision = np.zeros(0, dtype=np.int64)
+        self.decisions: list[tuple] = []
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The ``decisions`` index of every packed key (-1: unseen)."""
+        found = np.full(keys.size, -1, dtype=np.int64)
+        if self.known.size:
+            at = np.searchsorted(self.known, keys)
+            np.minimum(at, self.known.size - 1, out=at)
+            hit = self.known[at] == keys
+            found[hit] = self.known_decision[at[hit]]
+        return found
+
+    def remember(self, keys: np.ndarray, decisions: list[tuple]) -> np.ndarray:
+        """Record ``decisions`` for the unseen ``keys``; returns their
+        ``decisions`` indices."""
+        start = len(self.decisions)
+        self.decisions.extend(decisions)
+        index = np.arange(start, len(self.decisions), dtype=np.int64)
+        known = np.concatenate([self.known, keys])
+        order = np.argsort(known, kind="stable")
+        self.known = known[order]
+        self.known_decision = np.concatenate([self.known_decision, index])[order]
+        return index
 
 
 class Scu:
@@ -267,21 +408,7 @@ class Scu:
         dense = Representation.DENSE
         a_dense = a.representation is dense
         b_dense = b.representation is dense
-        if a_dense and b_dense:
-            key = ("d", op, count_only, a.universe)
-        elif a_dense or b_dense:
-            sparse_card = b.cardinality if a_dense else a.cardinality
-            key = ("m", op, a_dense, sparse_card, output_size)
-        else:
-            bigger = a if a.cardinality >= b.cardinality else b
-            key = (
-                "s",
-                op,
-                a.cardinality,
-                b.cardinality,
-                output_size,
-                bigger.representation is Representation.SPARSE_UNSORTED,
-            )
+        key = _shape_key(op, a, b, output_size, count_only)
         hit = self._decision_memo.get(key)
         if self.memo_event is not None:
             self.memo_event("read", key)
@@ -398,6 +525,188 @@ class Scu:
         if self.obs is not None:
             self.obs.dispatch_batch(opcodes, backends)
         return BatchDispatch(opcodes, backends, variants, compute, memory, latency)
+
+    def dispatch_stage_batch(
+        self,
+        op: SetOp,
+        operands: StageOperands,
+        probes: np.ndarray,
+        offsets: np.ndarray,
+        frontier: np.ndarray,
+        *,
+        fetch_cardinalities: bool = False,
+    ) -> StageDispatch:
+        """Amortized dispatch of one chunk of a whole count stage.
+
+        Row ``r`` is one task: the count burst ``probes[r] op b`` for
+        every ``b`` in ``frontier[offsets[r]:offsets[r + 1]]`` (ranks
+        into ``operands``), followed — with ``fetch_cardinalities`` and
+        a non-empty burst — by the fetches ``|probes[r]|`` and then
+        every ``|b|``.  The modeled state ends exactly where issuing
+        the bursts through :meth:`dispatch_binary_batch` and the
+        fetches through :meth:`dispatch_cardinality` would leave it:
+
+        * the SMB replays the chunk's access sequence (a, b₁, a, b₂,
+          …, then the fetches) in one loop, so the LRU trajectory and
+          hit/miss counts are identical;
+        * :meth:`_decide` runs once per unique operand-shape key, in
+          first-occurrence order, so memo fills and their order match;
+          a key's later ops add its backend/pick counters, and the
+          ``memo_event`` hook sees the per-op read/fill sequence;
+        * ``by_opcode`` and the observability dispatch counters receive
+          new labels in first-dispatch order;
+        * per-op cost components are elementwise float adds in the
+          sequential order.
+        """
+        hw = self.hw
+        stats = self.stats
+        k = np.diff(offsets)
+        nops = int(frontier.size)
+        a = np.repeat(probes, k)
+        b = frontier
+        # -- metadata phase: one SMB replay over the access sequence ----
+        fetched = (
+            np.where(k > 0, k + 1, 0) if fetch_cardinalities else np.zeros_like(k)
+        )
+        row_start = np.zeros(k.size + 1, dtype=np.int64)
+        np.cumsum(2 * k + fetched, out=row_start[1:])
+        pos_a = np.repeat(row_start[:-1] - 2 * offsets[:-1], k)
+        pos_a += 2 * np.arange(nops, dtype=np.int64)
+        seq = np.empty(int(row_start[-1]), dtype=np.int64)
+        ids = operands.set_ids
+        seq[pos_a] = ids[a]
+        seq[pos_a + 1] = ids[b]
+        fetch_start = np.zeros(k.size + 1, dtype=np.int64)
+        np.cumsum(fetched, out=fetch_start[1:])
+        nf = int(fetch_start[-1])
+        fpos = np.repeat(row_start[:-1] + 2 * k - fetch_start[:-1], fetched)
+        fpos += np.arange(nf, dtype=np.int64)
+        if nf:
+            heads = fetch_start[:-1][k > 0]
+            f_rank = np.empty(nf, dtype=np.int64)
+            f_rank[heads] = probes[k > 0]
+            rest = np.ones(nf, dtype=bool)
+            rest[heads] = False
+            f_rank[rest] = b
+            seq[fpos] = ids[f_rank]
+        hits = np.frombuffer(self.smb.access_many(seq.tolist()), dtype=np.bool_)
+        # -- decisions: once per unique shape key -----------------------
+        opcodes: list[Opcode] = []
+        backends: list[str] = []
+        variants: list[str] = []
+        costs: list[Cost] = []
+        key_of = np.zeros(0, dtype=np.int64)
+        if nops:
+            key_of, first, counts, keys = _first_occurrence_keys(
+                operands.card_rank[a], operands.card_rank[b],
+                operands.codes[a], operands.codes[b],
+            )
+            metas = operands.metas
+            memo = self._decision_memo
+            hook = self.memo_event
+            decision_of = operands.lookup(keys)
+            fresh = np.flatnonzero(decision_of < 0).tolist()
+            # Ops whose counters _decide already recorded (one per
+            # shape it decided).
+            recorded = np.zeros(keys.size, dtype=np.int64)
+            filled: set[int] = set()
+            found = []
+            self.memo_event = None
+            try:
+                for kk in fresh:
+                    i = first[kk]
+                    ma = metas[a[i]]
+                    mb = metas[b[i]]
+                    key = _shape_key(op, ma, mb, 0, True)
+                    entry = memo.get(key)
+                    if entry is None:
+                        size = len(memo)
+                        merge0 = stats.merge_picks
+                        gallop0 = stats.gallop_picks
+                        decision = self._decide(op, ma, mb, 0, True)
+                        recorded[kk] = 1
+                        if len(memo) > size:
+                            filled.add(kk)
+                            entry = memo[key]
+                        else:
+                            picks = (
+                                2 if stats.gallop_picks > gallop0
+                                else 1 if stats.merge_picks > merge0
+                                else 0
+                            )
+                            entry = (*decision, picks)
+                    found.append(entry)
+            finally:
+                self.memo_event = hook
+            if fresh:
+                decision_of[fresh] = operands.remember(keys[fresh], found)
+            decisions = operands.decisions
+            extras = (counts - recorded).tolist()
+            for d, extra in zip(decision_of.tolist(), extras):
+                opcode, backend, variant, cost, picks = decisions[d]
+                if backend == "pum":
+                    stats.pum_ops += extra
+                elif backend == "pnm":
+                    stats.pnm_ops += extra
+                else:
+                    stats.host_ops += extra
+                if picks == 1:
+                    stats.merge_picks += extra
+                elif picks == 2:
+                    stats.gallop_picks += extra
+                opcodes.append(opcode)
+                backends.append(backend)
+                variants.append(variant)
+                costs.append(cost)
+            if hook is not None:
+                first_of = first.tolist()
+                shape_keys = [
+                    _shape_key(op, metas[a[i]], metas[b[i]], 0, True)
+                    for i in first_of
+                ]
+                for i, kk in enumerate(key_of.tolist()):
+                    hook("read", shape_keys[kk])
+                    if kk in filled and i == first_of[kk]:
+                        hook("write-idempotent", shape_keys[kk])
+        # -- per-op and per-fetch cost components -----------------------
+        disp_c = hw.scu_dispatch_cycles
+        hit_c = hw.sm_hit_cycles
+        miss_c = hw.pnm_random_access_cycles
+        hit_a = hits[pos_a]
+        hit_b = hits[pos_a + 1]
+        comp = disp_c + np.where(hit_a, hit_c, 0.0)
+        comp += np.where(hit_b, hit_c, 0.0)
+        lat = np.where(hit_a, 0.0, miss_c)
+        lat += np.where(hit_b, 0.0, miss_c)
+        if self.host_fallback:
+            lat += self.cpu.config.set_op_latency_cycles
+        compute = comp + np.asarray([c.compute_cycles for c in costs], dtype=np.float64)[key_of]
+        memory = np.asarray([c.memory_bytes for c in costs], dtype=np.float64)[key_of]
+        latency = lat + np.asarray([c.latency_cycles for c in costs], dtype=np.float64)[key_of]
+        fetch_hit = hits[fpos]
+        fetch_compute = disp_c + np.where(fetch_hit, hit_c, 0.0)
+        fetch_latency = np.where(fetch_hit, 0.0, miss_c)
+        # -- counters: new labels arrive in first-dispatch order -------
+        stats.instructions += nops + nf
+        firsts = []
+        if nops:
+            op_pos = pos_a[first].tolist()
+            for kk, n in enumerate(counts.tolist()):
+                firsts.append((op_pos[kk], opcodes[kk], backends[kk], n))
+        if nf:
+            firsts.append((int(fpos[0]), Opcode.CARDINALITY, "scu", nf))
+        firsts.sort(key=lambda item: item[0])
+        by_opcode = stats.by_opcode
+        for _, opcode, _, n in firsts:
+            by_opcode[opcode] = by_opcode.get(opcode, 0) + n
+        if self.obs is not None:
+            self.obs.dispatch_counts(
+                [((opcode, backend), n) for _, opcode, backend, n in firsts]
+            )
+        return StageDispatch(
+            opcodes, backends, variants, key_of,
+            compute, memory, latency, fetch_compute, fetch_latency, fetch_start,
+        )
 
     def dispatch_binary_fused(
         self,

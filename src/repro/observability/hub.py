@@ -139,6 +139,13 @@ class Observability:
         for (opcode, backend), n in Counter(zip(opcodes, backends)).items():
             inc((opcode.name, backend), n)
 
+    def dispatch_counts(self, counts) -> None:
+        """Bulk :meth:`dispatch`: ``((opcode, backend), n)`` items, new
+        labels in first-dispatch order (a whole-stage SCU pass)."""
+        inc = self._dispatch.inc
+        for (opcode, backend), n in counts:
+            inc((opcode.name, backend), n)
+
     def fused_macro(self) -> None:
         self._fused.inc((self.tenant,))
 
@@ -165,6 +172,28 @@ class Observability:
             hist.observe(size_a)
         if sizes_b is not None:
             hist.observe_many(sizes_b)
+
+    def kernel_stage_end(
+        self, span, cycles: float, bursts, probe_sizes, frontier_sizes
+    ) -> None:
+        """Close the kernel span of one whole-stage chunk (``cycles``:
+        the chunk's modeled work, scans and fetches included) and feed
+        its bursts exactly as one :meth:`kernel_end` per burst would:
+        ``bursts`` are the per-burst modeled cycles in issue order, and
+        every probe and frontier set size lands in the current tenant's
+        Fig. 9b histogram."""
+        self.spans.end(span, cycles=cycles)
+        observe = self._burst_cycles.observe
+        labels = (self.tenant, self.workload)
+        for burst in bursts:
+            observe(labels, burst)
+        if not bursts:
+            return
+        hist = self.set_sizes.get(self.tenant)
+        if hist is None:
+            hist = self.set_sizes[self.tenant] = SetSizeHistogram()
+        hist.observe_many(probe_sizes)
+        hist.observe_many(frontier_sizes)
 
     # ------------------------------------------------------------------
     # Serving-layer feeds

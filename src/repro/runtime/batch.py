@@ -219,6 +219,128 @@ def difference_values(a: VertexSet, values: Sequence[VertexSet]) -> list[VertexS
     return results
 
 
+class StageLayout:
+    """Every operand set of one whole count stage, flattened once.
+
+    Sets are addressed by their *rank* (position in ``values``).  Set
+    ``r``'s sorted elements ``x`` sit in ``keys[offsets[r]:offsets[r +
+    1]]`` as ``r * universe + x``, so the per-set sorted arrays
+    concatenate into one globally sorted array and "is ``x`` in set
+    ``r``" is one ``searchsorted`` probe of the whole stage.  Dense
+    bitvectors additionally keep their words, concatenated, for
+    bit-gather probes.
+    """
+
+    def __init__(self, values: Sequence[VertexSet]):
+        universe = values[0].universe if values else 0
+        arrays = []
+        for v in values:
+            if v.universe != universe:
+                raise SetError(f"universe mismatch: {universe} vs {v.universe}")
+            arrays.append(v.to_array())
+        self.universe = universe
+        self.cards = np.fromiter(
+            (a.size for a in arrays), dtype=np.int64, count=len(arrays)
+        )
+        self.offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+        np.cumsum(self.cards, out=self.offsets[1:])
+        # Half-width keys whenever every ``rank * universe + x`` fits.
+        dtype = np.int32 if len(arrays) * universe < 1 << 31 else np.int64
+        self.keys = np.repeat(
+            np.arange(len(arrays), dtype=dtype) * dtype(universe), self.cards
+        )
+        if arrays:
+            self.keys += np.concatenate(arrays).astype(dtype, copy=False)
+        dense = [i for i, v in enumerate(values) if isinstance(v, DenseBitvector)]
+        # Word offset of every DB's bitvector in ``words`` (-1: an SA).
+        self.word_base = np.full(len(arrays), -1, dtype=np.int64)
+        self.words = None
+        if dense:
+            nwords = values[dense[0]].words.size
+            self.word_base[dense] = np.arange(len(dense)) * nwords
+            self.words = np.concatenate([values[i].words for i in dense])
+
+
+#: Work budget of one stage chunk, in probe elements: the stage executor
+#: splits a stage into chunks under it (weighing each op and task as a
+#: few elements of bookkeeping), so one :func:`stage_intersect_counts`
+#: call and its SCU and engine passes stay a few MB on any graph.
+STAGE_PROBE_BUDGET = 1 << 16
+
+
+def stage_intersect_counts(
+    layout: StageLayout, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """``|A_i ∩ B_i|`` for every rank pair ``(a[i], b[i])`` of a stage.
+
+    One vectorized pass: each pair probes its smaller operand's
+    elements into the larger one — a bit gather when the larger is a
+    dense bitvector, a keyed ``searchsorted`` over ``layout.keys``
+    otherwise — and the hits are summed per pair.  Work and temporaries
+    scale with ``Σ min(|A_i|, |B_i|)``, which callers keep under
+    :data:`STAGE_PROBE_BUDGET` per call.
+    """
+    cards = layout.cards
+    ca = cards[a]
+    cb = cards[b]
+    swap = ca > cb
+    probe = np.where(swap, b, a)
+    target = np.where(swap, a, b)
+    lens = np.where(swap, cb, ca)
+    if layout.words is None:
+        return _probe_counts(layout, probe, target, lens, dense=False)
+    counts = np.empty(a.size, dtype=np.int64)
+    into_db = layout.word_base[target] >= 0
+    for dense in (False, True):
+        sel = into_db if dense else ~into_db
+        counts[sel] = _probe_counts(
+            layout, probe[sel], target[sel], lens[sel], dense=dense
+        )
+    return counts
+
+
+def _probe_counts(
+    layout: StageLayout,
+    probe: np.ndarray,
+    target: np.ndarray,
+    lens: np.ndarray,
+    *,
+    dense: bool,
+) -> np.ndarray:
+    """Per pair, how many of the probe set's elements the target set
+    holds (all targets dense, or all sparse)."""
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    if total == 0:
+        return np.zeros(lens.size, dtype=np.int64)
+    starts = ends - lens
+    # Flat gather index of every probe element: the probe set's start
+    # offset, plus the element's position within its pair's segment.
+    keys = layout.keys
+    idx = np.repeat(layout.offsets[probe] - starts, lens)
+    idx += np.arange(total, dtype=np.int64)
+    vals = keys[idx]
+    del idx
+    vals -= np.repeat(probe.astype(keys.dtype) * layout.universe, lens)
+    if dense:
+        word = np.repeat(layout.word_base[target], lens)
+        word += vals >> 6
+        bits = layout.words[word]
+        del word
+        bits >>= (vals & 63).astype(np.uint64)
+        bits &= np.uint64(1)
+        hit = bits.astype(bool)
+    else:
+        q = np.repeat(target.astype(keys.dtype) * layout.universe, lens)
+        q += vals
+        del vals
+        pos = np.searchsorted(keys, q)
+        np.minimum(pos, keys.size - 1, out=pos)
+        hit = keys[pos] == q
+    hits = np.flatnonzero(hit)
+    return np.searchsorted(hits, ends) - np.searchsorted(hits, starts)
+
+
 def derive_counts(
     op_kind: str,
     a_cardinality: int,

@@ -33,7 +33,7 @@ from repro.hw.cost import Cost
 from repro.hw.engine import EngineMark, EngineReport, ExecutionEngine
 from repro.isa.metadata import SetMetadataTable
 from repro.isa.opcodes import Opcode, SetOp
-from repro.isa.scu import DispatchStats, Scu
+from repro.isa.scu import DispatchStats, Scu, StageOperands
 from repro.runtime import batch as batchmod
 from repro.runtime.trace import Trace, TraceEvent
 from repro.sets import kernels
@@ -42,6 +42,12 @@ from repro.sets.dense import DenseBitvector
 from repro.sets.sparse import SparseArray
 
 MODES = ("sisa", "cpu-set")
+
+#: Chunk-budget weights of one op and one task of a whole count stage,
+#: in probe elements (their SCU/engine bookkeeping costs about this
+#: many kernel probe elements' worth of memory).
+_STAGE_OP_WORK = 8
+_STAGE_TASK_WORK = 4
 
 
 @dataclass(frozen=True)
@@ -441,7 +447,7 @@ class SisaContext:
         """``|A \\ B_i|`` for every set id in ``bs``."""
         return self._count_batch(SetOp.DIFFERENCE_COUNT, "difference", a, bs)
 
-    _FUSED_OPS = {
+    _COUNT_OPS = {
         "intersect": SetOp.INTERSECT_COUNT,
         "union": SetOp.UNION_COUNT,
         "difference": SetOp.DIFFERENCE_COUNT,
@@ -460,7 +466,7 @@ class SisaContext:
         :meth:`on_lane` so the charges land on the lane the unit's task
         was placed on.
         """
-        op = self._FUSED_OPS[kind]
+        op = self._COUNT_OPS[kind]
         sm = self.sm
         n = len(bs)
         if n == 0:
@@ -505,6 +511,199 @@ class SisaContext:
                     )
                 )
         return counts
+
+    def count_stage(
+        self,
+        kind: str,
+        probes: np.ndarray,
+        offsets: np.ndarray,
+        frontier: np.ndarray,
+        *,
+        scan: bool = False,
+        fetch_cardinalities: bool = False,
+    ) -> np.ndarray:
+        """Execute a whole stage of count-form bursts in a few calls.
+
+        Task ``t`` opens a task (``begin_task``), optionally iterates
+        its probe set ``probes[t]`` (``scan``: the set iterator's
+        charged stream), issues the count burst of ``probes[t]``
+        against ``frontier[offsets[t]:offsets[t + 1]]`` and, with
+        ``fetch_cardinalities`` and a non-empty burst, fetches
+        ``|probes[t]|`` and then every ``|B_i|``.  Returns every
+        burst's counts, concatenated in frontier order.
+
+        Outputs, lane charges and task placement, dispatch stats, SMB
+        and decision-memo state, trace events and observability feeds
+        are exactly those of the per-task stream (``begin_task`` +
+        ``elements`` + ``*_count_batch`` + ``cardinality``); what is
+        amortized is the Python per-burst overhead.  Tasks run in
+        chunks of at most ~:data:`~repro.runtime.batch.STAGE_PROBE_BUDGET`
+        probe elements, each chunk one flat kernel call
+        (:func:`~repro.runtime.batch.stage_intersect_counts`), one SCU
+        pass (:meth:`~repro.isa.scu.Scu.dispatch_stage_batch`) and one
+        engine pass (:meth:`~repro.hw.engine.ExecutionEngine.charge_tasks`).
+        """
+        op = self._COUNT_OPS[kind]
+        probes = np.asarray(probes, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        frontier = np.asarray(frontier, dtype=np.int64)
+        ntasks = probes.size
+        counts = np.zeros(frontier.size, dtype=np.int64)
+        if ntasks == 0:
+            return counts
+        # Rank the stage's operand sets through a table over set ids
+        # (SM ids stay dense: freed ids are recycled).
+        used = np.zeros(max(probes.max(), frontier.max(initial=0)) + 1, dtype=bool)
+        used[probes] = True
+        used[frontier] = True
+        ids = np.flatnonzero(used)
+        rank_of = np.cumsum(used, dtype=np.int32)
+        rank_of -= 1
+        p_rank = rank_of[probes]
+        f_rank = rank_of[frontier]
+        del used, rank_of
+        operands = StageOperands(ids, self.sm.metas_of(ids.tolist()))
+        layout = batchmod.StageLayout(self.sm.values_of(ids.tolist()))
+        cards = layout.cards
+        k = np.diff(offsets)
+        scans = None
+        if scan:
+            # Scan cost components by probe size: (sizes, costs) rows.
+            sizes = np.unique(cards[p_rank])
+            scans = sizes, np.asarray(
+                [
+                    (c.compute_cycles, c.memory_bytes, c.latency_cycles)
+                    for c in map(self._scan_cost, sizes.tolist())
+                ],
+                dtype=np.float64,
+            )
+        # Chunk boundaries: every task starts in the chunk its leading
+        # cumulative work falls in, counting each probe element once
+        # and each op and task as the few elements their bookkeeping
+        # costs (so empty-set work is bounded too).
+        work = np.zeros(frontier.size + 1, dtype=np.int64)
+        np.minimum(cards[f_rank], cards[np.repeat(p_rank, k)], out=work[1:])
+        work[1:] += _STAGE_OP_WORK
+        np.cumsum(work, out=work)
+        chunk_of = (
+            work[offsets[:-1]] + _STAGE_TASK_WORK * np.arange(ntasks)
+        ) // batchmod.STAGE_PROBE_BUDGET
+        del work
+        bounds = [0, *(np.flatnonzero(np.diff(chunk_of)) + 1).tolist(), ntasks]
+        for t0, t1 in zip(bounds[:-1], bounds[1:]):
+            o0, o1 = int(offsets[t0]), int(offsets[t1])
+            self._count_stage_chunk(
+                op, kind, operands, layout, p_rank[t0:t1],
+                offsets[t0:t1 + 1] - o0, f_rank[o0:o1],
+                scans,
+                fetch_cardinalities, counts[o0:o1],
+            )
+        return counts
+
+    def _count_stage_chunk(
+        self, op, kind, operands, layout, probes, offsets, frontier,
+        scans, fetch_cardinalities, out,
+    ) -> None:
+        """One chunk of :meth:`count_stage`: kernel, SCU pass, engine
+        pass, then the observation-only feeds; counts land in ``out``."""
+        obs = self.obs
+        engine = self.engine
+        span = (
+            obs.kernel_start(f"{kind}_stage", int(frontier.size))
+            if obs is not None
+            else None
+        )
+        w0 = engine.work_cycles() if obs is not None else 0.0
+        k = np.diff(offsets)
+        a = np.repeat(probes, k)
+        cards = layout.cards
+        inter = batchmod.stage_intersect_counts(layout, a, frontier)
+        out[:] = batchmod.derive_counts(kind, cards[a], cards[frontier], inter)
+        sd = self.scu.dispatch_stage_batch(
+            op, operands, probes, offsets, frontier,
+            fetch_cardinalities=fetch_cardinalities,
+        )
+        # Per task: [scan] + the burst's ops + the cardinality fetches.
+        lead = 0 if scans is None else 1
+        fetched = np.diff(sd.fetch_offsets)
+        task_start = np.zeros(k.size + 1, dtype=np.int64)
+        np.cumsum(lead + k + fetched, out=task_start[1:])
+        size = int(task_start[-1])
+        compute = np.zeros(size)
+        memory = np.zeros(size)
+        latency = np.zeros(size)
+        if scans is not None:
+            sizes, costs = scans
+            scan = costs[np.searchsorted(sizes, cards[probes])]
+            heads = task_start[:-1]
+            compute[heads] = scan[:, 0]
+            memory[heads] = scan[:, 1]
+            latency[heads] = scan[:, 2]
+        op_pos = np.repeat(task_start[:-1] + lead - offsets[:-1], k)
+        op_pos += np.arange(frontier.size, dtype=np.int64)
+        compute[op_pos] = sd.compute
+        memory[op_pos] = sd.memory
+        latency[op_pos] = sd.latency
+        fetch_start = sd.fetch_offsets
+        fetch_pos = np.repeat(task_start[:-1] + lead + k - fetch_start[:-1], fetched)
+        fetch_pos += np.arange(int(fetch_start[-1]), dtype=np.int64)
+        compute[fetch_pos] = sd.fetch_compute
+        latency[fetch_pos] = sd.fetch_latency
+        lanes = engine.charge_tasks(
+            task_start.tolist(), compute.tolist(), memory.tolist(), latency.tolist()
+        )
+        if lanes:
+            self._current_lane = lanes[-1]
+        if obs is not None:
+            self._observe_stage_chunk(
+                span, engine.work_cycles() - w0, sd, offsets,
+                cards[probes], cards[frontier],
+            )
+        if self.trace.enabled:
+            key_of = sd.key_of.tolist()
+            op_lanes = np.repeat(lanes, k).tolist()
+            sizes_a = cards[a].tolist()
+            sizes_b = cards[frontier].tolist()
+            record = self.trace.record
+            for i, kk in enumerate(key_of):
+                record(
+                    TraceEvent(
+                        opcode=sd.opcodes[kk],
+                        lane=op_lanes[i],
+                        size_a=sizes_a[i],
+                        size_b=sizes_b[i],
+                        output_size=int(out[i]),
+                        backend=sd.backends[kk],
+                        variant=sd.variants[kk],
+                    )
+                )
+
+    def _observe_stage_chunk(
+        self, span, cycles, sd, offsets, sizes_a, sizes_b
+    ) -> None:
+        """Observability feeds of one stage chunk: its kernel span with
+        the chunk's exact modeled work, plus every non-empty burst's
+        modeled cycles and set sizes as per-burst ``kernel_end`` calls
+        would have fed them."""
+        obs = self.obs
+        if obs is None:
+            return
+        bpc = self.engine.bytes_per_cycle
+        compute = sd.compute.tolist()
+        memory = sd.memory.tolist()
+        latency = sd.latency.tolist()
+        bounds = offsets.tolist()
+        bursts = []
+        probe_sizes = []
+        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if hi > lo:
+                bursts.append(
+                    sum(compute[lo:hi])
+                    + sum(latency[lo:hi])
+                    + sum(memory[lo:hi]) / bpc
+                )
+                probe_sizes.append(int(sizes_a[t]))
+        obs.kernel_stage_end(span, cycles, bursts, probe_sizes, sizes_b.tolist())
 
     def intersect_many(self, *set_ids: int) -> int:
         """CISC-style multi-set intersection ``A1 ∩ ... ∩ Al`` in one
@@ -709,14 +908,7 @@ class SisaContext:
         if isinstance(value, DenseBitvector) == dense:
             return False
         size = value.cardinality
-        cost = self._scan_costs.get(size)
-        if cost is None:
-            if self.mode == "cpu-set":
-                cost = self.scu.cpu.neighborhood_scan(size)
-            else:
-                cost = self.scu.pnm.scan(size)
-            self._scan_costs[size] = cost
-        self.engine.charge(cost)
+        self.engine.charge(self._scan_cost(size))
         dispatch = self.scu.dispatch_create(
             size, dense=dense, universe=value.universe
         )
@@ -734,7 +926,11 @@ class SisaContext:
         """Iterate a set (the software layer's set iterator): streams
         the set out of memory once."""
         value = self.sm.value(set_id)
-        size = value.cardinality
+        self.engine.charge(self._scan_cost(value.cardinality))
+        return value.to_array()
+
+    def _scan_cost(self, size: int) -> Cost:
+        """The set iterator's streaming cost for a set of ``size``."""
         cost = self._scan_costs.get(size)
         if cost is None:
             if self.mode == "cpu-set":
@@ -742,8 +938,7 @@ class SisaContext:
             else:
                 cost = self.scu.pnm.scan(size)
             self._scan_costs[size] = cost
-        self.engine.charge(cost)
-        return value.to_array()
+        return cost
 
     def is_empty(self, set_id: int) -> bool:
         return self.cardinality(set_id) == 0

@@ -7,8 +7,9 @@ about to run.  The plan/execute split introduces that visibility:
 * :meth:`SisaSession.compile` returns a :class:`WorkloadPlan` — a
   declarative sequence of :class:`PlanStage` records naming the cached
   structures the workload reads (undirected SetGraph, orientation,
-  degeneracy order) and, for the count-form workloads, exposing the
-  per-task frontier bursts as schedulable :class:`BurstUnit` streams.
+  degeneracy order) and, for the count-form workloads, declaring the
+  per-task frontier bursts as one flat :class:`BurstTable` per stage
+  (from which the schedulable :class:`BurstUnit` stream is derived).
   A plan pins the session's stream version at compile time and fails
   fast (:class:`~repro.errors.SisaError`) if the stream drifted before
   execution.
@@ -16,7 +17,10 @@ about to run.  The plan/execute split introduces that visibility:
   ``fuse=False`` it executes the plans strictly in order, issuing an
   instruction stream bit-identical to sequential ``session.run`` calls
   (outputs, simulated cycles, dispatch stats — asserted in tests and
-  benchmarks).  With ``fuse=True`` it additionally
+  benchmarks); a table-declared burst stage runs whole, in a few
+  kernel/SCU/engine calls
+  (:meth:`~repro.runtime.context.SisaContext.count_stage`).  With
+  ``fuse=True`` it additionally
 
   - shares prep once per graph (the first plan needing a cached
     structure builds it; all others find it built),
@@ -50,6 +54,7 @@ streams interleave.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -75,7 +80,8 @@ BURST_KINDS = ("intersect", "union", "difference")
 class BurstUnit:
     """One schedulable count-form frontier burst (one task's worth).
 
-    Produced lazily by a burst stage's generator, which has already
+    Produced lazily by a burst stage's generator — for table-declared
+    stages, the generic adapter :func:`table_units` — which has already
     opened the unit's task (``lane``) and paid any charged pre-work
     (e.g. the neighborhood iterator).  The executor runs the burst —
     unfused via ``*_count_batch`` or as a fused-macro constituent — and
@@ -97,6 +103,87 @@ class BurstUnit:
 
 
 @dataclass
+class BurstTable:
+    """The whole work of a count-form burst stage, declared once as
+    flat arrays: one row per task.
+
+    Task ``t`` opens a task, iterates its probe set first when
+    ``scan`` is set (the charged neighborhood iterator), issues the
+    ``kind`` count burst of ``probes[t]`` against the frontier set ids
+    ``frontier[offsets[t]:offsets[t + 1]]`` (a task with an empty
+    frontier issues none) and, with ``fetch_cardinalities``, follows a
+    non-empty burst with the fetches ``|probes[t]|`` and then every
+    ``|B_i|``.  ``reduce(state, counts)`` folds the counts of every
+    burst, concatenated in frontier order, into the stage state — the
+    vectorized form of the per-unit sinks.
+    """
+
+    kind: str  # one of BURST_KINDS
+    probes: np.ndarray
+    offsets: np.ndarray
+    frontier: np.ndarray
+    reduce: Callable[[dict, np.ndarray], None]
+    scan: bool = False
+    fetch_cardinalities: bool = False
+
+    def execute(self, ctx) -> np.ndarray:
+        """Run the whole table as one stage on ``ctx``
+        (:meth:`~repro.runtime.context.SisaContext.count_stage`)."""
+        return ctx.count_stage(
+            self.kind,
+            self.probes,
+            self.offsets,
+            self.frontier,
+            scan=self.scan,
+            fetch_cardinalities=self.fetch_cardinalities,
+        )
+
+
+def table_units(table: BurstTable, ctx, state: dict, writes: tuple[str, ...]):
+    """The generic adapter from a :class:`BurstTable` to the
+    :class:`BurstUnit` stream the fused, scheduled and dynamic-checker
+    executors consume: unit for unit, charge for charge, the stream of
+    :meth:`BurstTable.execute`.  Each unit's sink pays its cardinality
+    fetches and parks its counts; the last sink runs ``reduce`` (a
+    table with no bursts reduces once every task has opened)."""
+    offsets = table.offsets.tolist()
+    probes = table.probes.tolist()
+    frontier = table.frontier.tolist()
+    counts = np.zeros(len(frontier), dtype=np.int64)
+    last = next(
+        (t for t in reversed(range(len(probes))) if offsets[t + 1] > offsets[t]),
+        -1,
+    )
+    fetch = table.fetch_cardinalities
+
+    def sink(burst, *, _t):
+        lo, hi = offsets[_t], offsets[_t + 1]
+        counts[lo:hi] = burst
+        if fetch:
+            ctx.cardinality(probes[_t])
+            for b in frontier[lo:hi]:
+                ctx.cardinality(b)
+        if _t == last:
+            table.reduce(state, counts)
+
+    for t, a in enumerate(probes):
+        lane = ctx.begin_task()
+        if table.scan:
+            ctx.elements(a)
+        if offsets[t + 1] > offsets[t]:
+            yield BurstUnit(
+                a=a,
+                bs=frontier[offsets[t]:offsets[t + 1]],
+                kind=table.kind,
+                lane=lane,
+                sink=functools.partial(sink, _t=t),
+                writes=writes,
+            )
+    if last < 0:
+        table.reduce(state, counts)
+
+
+@dataclass
 class PlanStage:
     """One declarative step of a compiled plan.
 
@@ -108,6 +195,12 @@ class PlanStage:
     value instead of executing (``key`` names the sub-request the stage
     computes — shared between plans, e.g. the triangle count inside
     ``clustering_coefficient``).
+
+    A bursts stage declares its work either as ``table(session,
+    state) -> BurstTable`` — flat arrays the sequential executor runs
+    as one whole stage, and from which ``units`` is derived by the
+    generic adapter :func:`table_units` for the fused, scheduled and
+    dynamic-checker executors — or as a hand-written ``units`` generator.
 
     Burst-generator contract: producing a unit may open its task and
     charge engine costs (``begin_task``, the neighborhood iterator) but
@@ -135,6 +228,16 @@ class PlanStage:
     seed: Callable[[dict, Any], None] | None = None
     writes: tuple[str, ...] = ()  # effect tokens executing the stage mutates
     seeds: tuple[str, ...] = ()  # state slots the seed hook installs
+    table: Callable[[Any, dict], BurstTable] | None = None
+
+    def __post_init__(self) -> None:
+        if self.table is not None and self.units is None:
+            self.units = self._table_units
+
+    def _table_units(self, session, state: dict) -> Iterator[BurstUnit]:
+        return table_units(
+            self.table(session, state), session.ctx, state, self.writes
+        )
 
 
 def subrequest_key(name: str, params: dict) -> tuple | None:
@@ -533,6 +636,10 @@ class PlanExecutor:
                     w0 = ctx.engine.work_cycles()
                 if stage.kind == "call":
                     value = stage.run(session, state)
+                elif stage.table is not None:
+                    table = stage.table(session, state)
+                    table.reduce(state, table.execute(ctx))
+                    value = stage.result(state)
                 else:
                     for unit in stage.units(session, state):
                         counts = getattr(ctx, f"{unit.kind}_count_batch")(

@@ -610,8 +610,10 @@ class SessionPool:
         """One plan, isolated: budget gate → (re)compile if stale →
         attempt → on failure charge the wasted cycles to the tenant's
         retry ledger and try again, up to the policy bound.  Each
-        attempt runs through :meth:`PlanExecutor.execute_isolated`, the
-        one place an execution failure becomes a FailedResult."""
+        attempt runs through :meth:`PlanExecutor.execute_isolated`,
+        which turns the package's own failures into FailedResults; an
+        exception outside that taxonomy ends the plan at once as an
+        ``internal-error`` FailedResult (a bug is not retried)."""
         tenant = plan.tenant or "default"
         retry = self.retry if self.retry is not None else _DEFAULT_RETRY
         injector = self.fault_injector
@@ -663,17 +665,27 @@ class SessionPool:
             if injector is not None:
                 injector.before_plan(session, current)
             mark = session.ctx.mark()
-            # The retry loop handles only the package's own failure
-            # taxonomy (injected faults, drift, hazards, validation) —
-            # a foreign exception is a bug, not a transient, and
-            # propagates to the caller instead of burning retries.
-            (result,) = PlanExecutor(
-                session,
-                fuse=self.fuse,
-                fuse_width=self.fuse_width,
-                fault_injector=injector,
-                verify=verify,
-            ).execute_isolated([current])
+            try:
+                (result,) = PlanExecutor(
+                    session,
+                    fuse=self.fuse,
+                    fuse_width=self.fuse_width,
+                    fault_injector=injector,
+                    verify=verify,
+                ).execute_isolated([current])
+            except Exception as exc:  # repolint: disable=overbroad-except -- hardened mode contains any plan failure
+                # A foreign exception is a bug, not a transient: it is
+                # contained to this plan (other tenants keep their
+                # results) but never retried.
+                result = FailedResult(
+                    workload=current.name,
+                    params=dict(current.params),
+                    tenant=current.tenant,
+                    reason="internal-error",
+                    error=exc,
+                    attempts=1,
+                    details={"exception": type(exc).__name__},
+                )
             if not isinstance(result, FailedResult):
                 return result
             attempts += 1
@@ -686,6 +698,8 @@ class SessionPool:
             )
             if self.obs is not None:
                 self.obs.charge_retry(tenant, wasted)
+            if result.reason == "internal-error":
+                return give_up("internal-error", result.details)
             if attempts < retry.max_attempts:
                 self._retries += 1
         # max_attempts >= 1, so the loop only exits after a failure.

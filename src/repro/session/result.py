@@ -93,7 +93,12 @@ class FailedResult:
       retry policy forbade (or exhausted) recompiles;
     * ``"budget-exhausted"`` — the owning tenant's cycle budget ran out
       before the plan started;
-    * ``"error"`` — any other execution-time exception.
+    * ``"error"`` — any other failure from the package's own error
+      taxonomy (:class:`~repro.errors.ReproError`);
+    * ``"internal-error"`` — an exception outside that taxonomy (a
+      bug, not a transient): contained to its plan and never retried;
+      ``error`` holds the exception and ``details["exception"]`` its
+      type name.
 
     ``retry_cycles`` is the modeled work spent on this plan's failed
     attempts — already charged to the owning tenant's retry ledger.

@@ -43,7 +43,7 @@ from repro.session.registry import workload
 from repro.streaming.incremental import degrees_of, local_triangle_counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.session.plan import PlanStage
+    from repro.session.plan import BurstTable, PlanStage
 
 
 def _batch(session, batch):
@@ -55,14 +55,15 @@ def _batch(session, batch):
 #
 # Each builder decomposes its workload into the declarative stage list a
 # WorkloadPlan executes: prep (which cached structure to touch), the
-# count-form frontier bursts as schedulable units, and host-side
-# finalization.  Executed in order, the stages reproduce the eager
-# kernel's instruction stream op for op — asserted bit-identical in
-# tests — while exposing the bursts for cross-plan fusion and the
-# shared sub-requests (e.g. the triangle count inside
-# clustering_coefficient) for dedup.  A builder returns None when the
-# requested parameters are not decomposable (e.g. batch=False); the
-# plan then falls back to one opaque call stage.
+# count-form frontier bursts declared as one flat BurstTable per stage,
+# and host-side finalization.  Executed in order, the stages reproduce
+# the eager kernel's instruction stream op for op — asserted
+# bit-identical in tests — while exposing the bursts for cross-plan
+# fusion (through the generic table-to-units adapter) and the shared
+# sub-requests (e.g. the triangle count inside clustering_coefficient)
+# for dedup.  A builder returns None when the requested parameters are
+# not decomposable (e.g. batch=False); the plan then falls back to one
+# opaque call stage.
 # ---------------------------------------------------------------------------
 
 
@@ -88,40 +89,54 @@ def _prep_stage(which: str) -> "PlanStage":
     )
 
 
+def _neighborhood_table(sg, ctx, kind: str, reduce) -> "BurstTable":
+    """The node-iterator burst table over a SetGraph: task ``u`` scans
+    ``N(u)`` and counts it against ``N(v)`` for every ``v ∈ N(u)``
+    (neighborhood values are read model-internally, uncharged)."""
+    from repro.session.plan import BurstTable
+
+    ids = np.asarray(sg.set_ids, dtype=np.int64)
+    arrays = [value.to_array() for value in ctx.sm.values_of(sg.set_ids)]
+    offsets = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum([a.size for a in arrays], out=offsets[1:])
+    nbrs = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
+    return BurstTable(
+        kind=kind,
+        probes=ids,
+        offsets=offsets,
+        frontier=ids[nbrs],
+        reduce=reduce,
+        scan=True,
+    )
+
+
+def _task_sums(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-task sums of a stage's concatenated burst counts."""
+    cum = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=cum[1:])
+    return cum[offsets[1:]] - cum[offsets[:-1]]
+
+
 def _triangle_burst_stage() -> "PlanStage":
     """The shared triangle-count burst stage (Algorithm 1's oriented
     ``|N+(u) ∩ N+(v)|`` bursts) — the sub-request both ``triangles``
     and ``clustering_coefficient`` plans schedule, under one dedup key."""
-    from repro.session.plan import BurstUnit, PlanStage, subrequest_key
+    from repro.session.plan import PlanStage, subrequest_key
 
-    def units(session, state):
-        sg = session.oriented_setgraph
-        ctx = session.ctx
-        state["triangles"] = 0
+    def table(session, state):
+        def reduce(state, counts):
+            state["triangles"] = int(counts.sum())
 
-        def sink(counts):
-            state["triangles"] += int(counts.sum())
-
-        for u in range(sg.num_vertices):
-            lane = ctx.begin_task()
-            out_u = sg.neighborhood(u)
-            nbrs = ctx.elements(out_u)
-            if nbrs.size:
-                yield BurstUnit(
-                    a=out_u,
-                    bs=[sg.neighborhood(int(v)) for v in nbrs],
-                    kind="intersect",
-                    lane=lane,
-                    sink=sink,
-                    writes=("state:triangles",),
-                )
+        return _neighborhood_table(
+            session.oriented_setgraph, session.ctx, "intersect", reduce
+        )
 
     return PlanStage(
         kind="bursts",
         label="bursts:triangles",
         reads=("oriented",),
         key=subrequest_key("triangles", {"batch": True}),
-        units=units,
+        table=table,
         result=lambda state: state["triangles"],
         seed=lambda state, value: state.__setitem__("triangles", value),
         writes=("state:triangles",),
@@ -168,28 +183,16 @@ def _clustering_coefficient_stages(session, params):
 
 
 def _local_clustering_stages(session, params):
-    from repro.session.plan import BurstUnit, PlanStage, subrequest_key
+    from repro.session.plan import PlanStage, subrequest_key
 
-    def units(session, state):
-        sg = session.setgraph
-        ctx = session.ctx
-        counts = state["counts"] = np.zeros(sg.num_vertices, dtype=np.int64)
-        for v in range(sg.num_vertices):
-            lane = ctx.begin_task()
-            nbrs = ctx.elements(sg.neighborhood(v))
-            if nbrs.size:
+    def table(session, state):
+        def reduce(state, counts):
+            state["counts"] = _task_sums(counts, burst_table.offsets) // 2
 
-                def sink(burst, *, _v=v):
-                    counts[_v] = int(burst.sum()) // 2
-
-                yield BurstUnit(
-                    a=sg.neighborhood(v),
-                    bs=[sg.neighborhood(int(u)) for u in nbrs],
-                    kind="intersect",
-                    lane=lane,
-                    sink=sink,
-                    writes=("state:counts",),
-                )
+        burst_table = _neighborhood_table(
+            session.setgraph, session.ctx, "intersect", reduce
+        )
+        return burst_table
 
     def finalize(session, state):
         counts = state["counts"]
@@ -209,7 +212,7 @@ def _local_clustering_stages(session, params):
             label="bursts:local_triangles",
             reads=("undirected",),
             key=subrequest_key("local_triangle_counts", {}),
-            units=units,
+            table=table,
             result=lambda state: state["counts"],
             seed=lambda state, value: state.__setitem__("counts", value),
             writes=("state:counts",),
@@ -231,8 +234,7 @@ _PLANNABLE_MEASURES = ("jaccard", "overlap", "common_neighbors", "total_neighbor
 
 
 def _similarity_pairs_stages(session, params):
-    from repro.algorithms.similarity import iter_shared_first_runs
-    from repro.session.plan import BurstUnit, PlanStage, subrequest_key
+    from repro.session.plan import BurstTable, PlanStage, subrequest_key
 
     measure = params.get("measure", "jaccard")
     if (
@@ -243,45 +245,41 @@ def _similarity_pairs_stages(session, params):
         return None
     pairs = np.asarray(params["pairs"], dtype=np.int64)
     kind = "union" if measure == "total_neighbors" else "intersect"
+    # One task per run of pairs sharing their first vertex (the
+    # grouping of all_pairs_similarity_on); the ratio measures follow
+    # each burst with similarity_batch_on's cardinality fetches.
+    ratio = measure in ("jaccard", "overlap")
+    us, vs = pairs.reshape(-1, 2).T
+    heads = np.flatnonzero(np.diff(us, prepend=-1) != 0)
 
-    def units(session, state):
+    def table(session, state):
         sg = session.setgraph
-        ctx = session.ctx
-        scores = state["scores"] = np.zeros(len(pairs), dtype=np.float64)
-        for u, i, j in iter_shared_first_runs(pairs):
-            lane = ctx.begin_task()
-            vs = [int(p[1]) for p in pairs[i:j]]
-            nu = sg.neighborhood(u)
-            nvs = [sg.neighborhood(v) for v in vs]
+        ids = np.asarray(sg.set_ids, dtype=np.int64)
+        degrees = degrees_of(sg).astype(np.float64)
 
-            def sink(counts, *, _i=i, _j=j, _nu=nu, _nvs=nvs):
-                # Replicates similarity_batch_on's post-burst stream:
-                # the |N(u)| fetch hoisted once per frontier, then one
-                # cardinality per frontier operand.
-                if measure in ("total_neighbors", "common_neighbors"):
-                    scores[_i:_j] = counts.astype(np.float64)
-                    return
-                inter = counts.astype(np.float64)
-                du = ctx.cardinality(_nu)
-                dvs = np.asarray(
-                    [ctx.cardinality(nv) for nv in _nvs], dtype=np.float64
-                )
-                if measure == "jaccard":
-                    denom = du + dvs - inter
-                else:  # overlap
-                    denom = np.minimum(float(du), dvs)
-                scores[_i:_j] = np.divide(
-                    inter, denom, out=np.zeros_like(inter), where=denom > 0
-                )
-
-            yield BurstUnit(
-                a=nu,
-                bs=nvs,
-                kind=kind,
-                lane=lane,
-                sink=sink,
-                writes=("state:scores",),
+        def reduce(state, counts):
+            inter = counts.astype(np.float64)
+            if not ratio:
+                state["scores"] = inter
+                return
+            du = degrees[us]
+            dv = degrees[vs]
+            if measure == "jaccard":
+                denom = du + dv - inter
+            else:  # overlap
+                denom = np.minimum(du, dv)
+            state["scores"] = np.divide(
+                inter, denom, out=np.zeros_like(inter), where=denom > 0
             )
+
+        return BurstTable(
+            kind=kind,
+            probes=ids[us[heads]],
+            offsets=np.append(heads, us.size),
+            frontier=ids[vs],
+            reduce=reduce,
+            fetch_cardinalities=ratio,
+        )
 
     return [
         _prep_stage("undirected"),
@@ -293,7 +291,7 @@ def _similarity_pairs_stages(session, params):
                 "similarity_pairs",
                 {"pairs": pairs, "measure": measure, "batch": True},
             ),
-            units=units,
+            table=table,
             result=lambda state: state["scores"],
             seed=lambda state, value: state.__setitem__("scores", value),
             writes=("state:scores",),

@@ -36,7 +36,9 @@ class SparseArray(VertexSet):
         arr = np.asarray(
             list(elements) if not isinstance(elements, np.ndarray) else elements,
             dtype=ELEMENT_DTYPE,
-        ).ravel()
+        )
+        if arr.ndim != 1:  # a 1-D input is kept as is: no extra view per set
+            arr = arr.ravel()
         if not _trusted:
             if arr.size and (arr.min() < 0 or arr.max() >= universe):
                 raise SetError("element out of universe range")

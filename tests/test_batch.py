@@ -140,6 +140,42 @@ class TestCountKernels:
             expected = [kernels.intersect_cardinality(va, v) for v in values]
             assert list(got) == expected
 
+    @given(st.lists(subsets, min_size=1, max_size=5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stage_kernel_counts(self, sets, data):
+        """The whole-stage kernel equals per-pair counts for any mix of
+        sorted, unsorted and dense operands."""
+        values = [v for s in sets for v in variants(s)]
+        pairs = data.draw(
+            st.lists(st.tuples(*[st.integers(0, len(values) - 1)] * 2), max_size=30)
+        )
+        a = np.asarray([p[0] for p in pairs], dtype=np.int64)
+        b = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        got = batchmod.stage_intersect_counts(batchmod.StageLayout(values), a, b)
+        expected = [
+            kernels.intersect_cardinality(values[i], values[j]) for i, j in pairs
+        ]
+        assert list(got) == expected
+
+    def test_stage_kernel_wide_keys(self):
+        """Rank-keyed probes stay exact when ``rank * universe`` needs
+        64 bits."""
+        universe = 3_000_000_000
+        rng = np.random.default_rng(0)
+        values = [
+            SparseArray(np.unique(rng.integers(0, universe, 40)), universe)
+            for _ in range(3)
+        ]
+        shared = values[0].to_array()[:10]
+        values.append(SparseArray(np.unique(np.concatenate([shared, [5]])), universe))
+        a = np.asarray([0, 3, 2, 3], dtype=np.int32)
+        b = np.asarray([3, 0, 3, 3], dtype=np.int32)
+        got = batchmod.stage_intersect_counts(batchmod.StageLayout(values), a, b)
+        assert list(got) == [
+            kernels.intersect_cardinality(values[i], values[j]) for i, j in zip(a, b)
+        ]
+        assert got[0] == 10
+
 
 def _mixed_context(seed=0, threads=4, mode="sisa", trace=False):
     """A context with a spread of sorted-SA / unsorted-SA / DB sets."""

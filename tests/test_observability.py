@@ -12,8 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from repro.algorithms.similarity import all_pairs_similarity_on
+from repro.algorithms.triangles import triangle_count_oriented
 from repro.errors import ConfigError
-from repro.graphs.generators import gnp_random_graph
+from repro.graphs.generators import chung_lu_graph, gnp_random_graph
 from repro.observability import (
     OVERFLOW_LABEL,
     JsonlSink,
@@ -25,7 +29,9 @@ from repro.observability import (
 )
 from repro.serving import FaultInjector, RetryPolicy, TenantQuota
 from repro.serving.health import HealthSnapshot, TenantHealth
+from repro.runtime import batch as batchmod
 from repro.session import ExecutionConfig, SessionPool, SisaSession
+from repro.streaming.incremental import local_triangle_counts
 
 
 def _graph(n=24, p=0.25, seed=7):
@@ -590,3 +596,72 @@ def test_observability_is_bit_identical_to_disabled(
             assert traced.spans is not None
     assert plain.tenant_cycles == observed.tenant_cycles
     assert plain.tenant_retry_cycles == observed.tenant_retry_cycles
+
+
+# ---------------------------------------------------------------------------
+# Whole-stage count bursts: same feeds as the per-burst stream
+# ---------------------------------------------------------------------------
+
+
+class TestWholeStageFeeds:
+    """``session.run`` executes count-form burst stages whole; with
+    tracing and observability on it must record the per-burst stream's
+    trace events, dispatch counters and Fig. 9b / burst histograms,
+    with one ``kernel:`` span per stage chunk whose modeled cycles add
+    up to the stage span's."""
+
+    PAIRS = np.asarray(
+        [[u, v] for u in range(0, 140, 3) for v in (u + 1, u + 7, 149)]
+    )
+
+    def _eager(self, name, session):
+        ctx = session.ctx
+        if name == "triangles":
+            return triangle_count_oriented(session.oriented_setgraph, ctx)
+        if name == "local_clustering":
+            return local_triangle_counts(session.setgraph, ctx)
+        return all_pairs_similarity_on(ctx, session.setgraph, self.PAIRS)
+
+    @pytest.mark.parametrize(
+        "name, stage",
+        [
+            ("triangles", "bursts:triangles"),
+            ("local_clustering", "bursts:local_triangles"),
+            ("similarity_pairs", "bursts:watchlist-jaccard"),
+        ],
+    )
+    def test_stage_feeds_match_per_burst_stream(self, monkeypatch, name, stage):
+        graph = chung_lu_graph(150, 500, gamma=2.2, seed=1)
+        config = ExecutionConfig(threads=8, result_cache=False, trace=True)
+        staged, eager = (
+            SisaSession(graph, config, observability=True) for _ in range(2)
+        )
+        for session in (staged, eager):
+            session.setgraph
+            session.oriented_setgraph
+        monkeypatch.setattr(batchmod, "STAGE_PROBE_BUDGET", 256)
+        params = {"pairs": self.PAIRS} if name == "similarity_pairs" else {}
+        result = staged.run(name, **params)
+        eager.obs.set_context("default", name)
+        self._eager(name, eager)
+
+        assert staged.ctx.trace.events == eager.ctx.trace.events
+        families = [s.obs.registry.families() for s in (staged, eager)]
+        assert (
+            families[0]["sisa_dispatch_total"].series
+            == families[1]["sisa_dispatch_total"].series
+        )
+        bursts = [
+            {k: (v.counts, v.sum, v.count) for k, v in f["burst_modeled_cycles"].series.items()}
+            for f in families
+        ]
+        assert bursts[0] == bursts[1]
+        sizes = [s.obs.set_sizes["default"] for s in (staged, eager)]
+        assert (sizes[0].counts, sizes[0].total) == (sizes[1].counts, sizes[1].total)
+
+        stage_span = result.spans.find(f"stage:{stage}")
+        kernels = [c for c in stage_span.children if c.name.startswith("kernel:")]
+        assert len(kernels) >= 2
+        assert sum(k.cycles for k in kernels) == pytest.approx(
+            stage_span.cycles, rel=1e-12
+        )

@@ -25,9 +25,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.similarity import all_pairs_similarity_on
+from repro.algorithms.triangles import triangle_count_oriented
 from repro.errors import ConfigError, SisaError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import chung_lu_graph, gnp_random_graph
 from repro.graphs.streams import EdgeBatch, canonical_edges
+from repro.hw.config import HardwareConfig
+from repro.isa.scu import Scu
+from repro.runtime import batch as batchmod
 from repro.serving.admission import RetryPolicy
 from repro.session import (
     ExecutionConfig,
@@ -36,6 +42,7 @@ from repro.session import (
     SisaSession,
     WorkloadPlan,
 )
+from repro.session.registry import get_workload
 
 
 def _graph(seed=3, n=60, p=0.12):
@@ -622,3 +629,182 @@ class TestInvalidation:
         (rerun,) = session.run_many(["clustering_coefficient"], fuse=True)
         assert not rerun.cached
         assert rerun.instructions > 0
+
+
+# ---------------------------------------------------------------------------
+# Whole-stage count-burst execution is exact
+# ---------------------------------------------------------------------------
+
+
+def _star(n):
+    return CSRGraph.from_edges(
+        n, np.column_stack([np.zeros(n - 1, np.int64), np.arange(1, n)])
+    )
+
+
+def _complete(n):
+    u, v = np.triu_indices(n, k=1)
+    return CSRGraph.from_edges(n, np.column_stack([u, v]).astype(np.int64))
+
+
+def _edgeless(n):
+    return CSRGraph.from_edges(n, np.zeros((0, 2), dtype=np.int64))
+
+
+_STAGE_GRAPHS = {
+    "empty": lambda: _edgeless(0),
+    "single": lambda: _edgeless(1),
+    "edgeless": lambda: _edgeless(9),
+    "complete": lambda: _complete(12),
+    "star": lambda: _star(40),
+    "gnp": lambda: gnp_random_graph(50, 0.15, seed=5),
+    "chung-lu": lambda: chung_lu_graph(120, 420, gamma=2.2, seed=2),
+}
+
+_STAGE_REGIMES = {
+    "default": {},
+    "sa-only": {"t": 0.0},
+    # Every neighborhood of degree >= 2 becomes a DB (a star's hub
+    # crosses the threshold, its leaves stay SAs).
+    "db-heavy": {"policy": "threshold", "t": 0.04, "budget": 100.0},
+    "cpu-set": {"mode": "cpu-set"},
+}
+
+_SMB = {
+    "on": {},
+    "off": {"smb_enabled": False},
+    "capacity-1": {"hw": HardwareConfig(smb_entries=1)},
+    "capacity-2": {"hw": HardwareConfig(smb_entries=2)},
+}
+
+
+def _stage_machine_state(session) -> dict:
+    """Everything the stage path must leave exactly as the per-burst
+    stream does."""
+    ctx = session.ctx
+    engine = ctx.engine
+    stats = ctx.scu.stats
+    smb = ctx.scu.smb
+    return {
+        "lanes": [
+            (lane.compute_cycles, lane.memory_bytes, lane.latency_cycles, lane.tasks)
+            for lane in engine._lanes
+        ],
+        "current": (engine._current, ctx._current_lane, list(engine._lane_times)),
+        "stats": (
+            stats.instructions, stats.pum_ops, stats.pnm_ops, stats.host_ops,
+            stats.merge_picks, stats.gallop_picks, list(stats.by_opcode.items()),
+        ),
+        "smb": (smb.stats.hits, smb.stats.misses, list(smb._entries)),
+        "memo": list(ctx.scu._decision_memo.items()),
+        "trace": list(ctx.trace.events),
+    }
+
+
+def _eager_reference(session, stage, pairs, measure, batch):
+    """The per-burst reference: the eager ``*_on`` kernel."""
+    ctx = session.ctx
+    if stage == "triangles":
+        return triangle_count_oriented(session.oriented_setgraph, ctx, batch=batch)
+    if stage == "local_clustering":
+        return get_workload("local_clustering").fn(session)
+    return all_pairs_similarity_on(ctx, session.setgraph, pairs, measure=measure)
+
+
+class TestWholeStageExactness:
+    """``session.run`` executes the ``bursts:triangles``,
+    ``bursts:local_triangles`` and ``bursts:watchlist-*`` stages as
+    whole-stage calls; outputs and every piece of modeled state must
+    equal the per-burst stream's, across representation, SMB, variant,
+    memo and chunking regimes and degenerate graphs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=st.sampled_from(sorted(_STAGE_GRAPHS)),
+        regime=st.sampled_from(sorted(_STAGE_REGIMES)),
+        smb=st.sampled_from(sorted(_SMB)),
+        gallop=st.sampled_from([None, 0.25, 4.0]),
+        stage=st.sampled_from(
+            ["triangles", "local_clustering", "jaccard", "overlap",
+             "common_neighbors", "total_neighbors"]
+        ),
+        batch=st.booleans(),
+        memo_limit=st.sampled_from([None, 0, 3, 12]),
+        budget=st.sampled_from([None, 1, 16, 64]),
+        seed=st.integers(0, 3),
+    )
+    def test_stage_path_matches_per_burst_stream(
+        self, graph, regime, smb, gallop, stage, batch, memo_limit, budget, seed
+    ):
+        g = _STAGE_GRAPHS[graph]()
+        config = ExecutionConfig(
+            threads=8,
+            result_cache=False,
+            trace=True,
+            gallop_threshold=gallop,
+            **_STAGE_REGIMES[regime],
+            **_SMB[smb],
+        )
+        n = g.num_vertices
+        pairs = _watchlist(max(n, 1), 30, seed=seed) if n > 1 else np.zeros((0, 2), np.int64)
+        measure = stage if stage not in ("triangles", "local_clustering") else None
+        name = "similarity_pairs" if measure else stage
+        params = {"pairs": pairs, "measure": measure} if measure else {}
+        with pytest.MonkeyPatch.context() as mp:
+            if memo_limit is not None:
+                # The shared memo starts full: every shape of the stage
+                # arrives after the limit.
+                mp.setattr(Scu, "_MEMO_LIMIT", memo_limit)
+            if budget is not None:
+                mp.setattr(batchmod, "STAGE_PROBE_BUDGET", budget)
+            sessions = [SisaSession(g, config) for _ in range(2)]
+            memo_events = [[], []]
+            for s, events in zip(sessions, memo_events):
+                s.setgraph
+                s.oriented_setgraph
+                if memo_limit is not None:
+                    s.ctx.scu._decision_memo.update(
+                        {("prefill", i): None for i in range(memo_limit)}
+                    )
+                s.ctx.scu.memo_event = lambda op, key, _e=events: _e.append(
+                    (op, key)
+                )
+            stage_session, eager_session = sessions
+            result = stage_session.run(name, **params)
+            mark = eager_session.ctx.mark()
+            expected = _eager_reference(
+                eager_session, name, pairs, measure, batch
+            )
+        assert repr(result.output) == repr(expected)
+        reference = eager_session.ctx.report_since(mark)
+        assert result.report.lane_times == reference.lane_times
+        assert result.report.lane_memory_times == reference.lane_memory_times
+        assert result.report.tasks == reference.tasks
+        assert result.stats == eager_session.ctx.stats_since(mark)
+        assert _stage_machine_state(stage_session) == _stage_machine_state(
+            eager_session
+        )
+        assert memo_events[0] == memo_events[1]
+
+    def test_stage_spans_several_chunks(self):
+        calls = []
+        original = batchmod.stage_intersect_counts
+
+        def counting(*args):
+            calls.append(args[1].size)
+            return original(*args)
+
+        g = chung_lu_graph(150, 500, gamma=2.2, seed=4)
+        config = ExecutionConfig(threads=8, result_cache=False)
+        stage_session, eager_session = SisaSession(g, config), SisaSession(g, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batchmod, "STAGE_PROBE_BUDGET", 200)
+            mp.setattr(batchmod, "stage_intersect_counts", counting)
+            out = stage_session.run("local_clustering").output
+        assert len(calls) >= 2
+        assert sum(calls) == 2 * g.num_edges  # every op counted once
+        expected = get_workload("local_clustering").fn(eager_session)
+        assert np.array_equal(out, expected)
+        assert _stage_machine_state(stage_session) == _stage_machine_state(
+            eager_session
+        )

@@ -466,17 +466,39 @@ class TestExceptionContracts:
         with pytest.raises(RuntimeError, match="genuine bug"):
             session.run_many([plan], isolate=True)
 
-    def test_hardened_pool_propagates_foreign_exceptions(self):
+    @staticmethod
+    def _pool_with_buggy_plan(**pool_kwargs):
+        """A pool holding tenant ``a``'s plan whose prep stage raises a
+        raw RuntimeError, beside tenant ``b``'s healthy plan."""
         graph = _graph()
-        from repro.serving import RetryPolicy
-
-        pool = SessionPool(ExecutionConfig(threads=8), retry=RetryPolicy())
+        pool = SessionPool(ExecutionConfig(threads=8), **pool_kwargs)
         plan = pool.submit("g", "triangles", graph=graph, tenant="a")
+        pool.submit("g", "local_clustering", graph=graph, tenant="b")
 
         def boom(sess, state):
             raise RuntimeError("a genuine bug, not a fault")
 
         plan.stages[0].run = boom
+        return pool
+
+    def test_hardened_pool_contains_foreign_exceptions(self):
+        from repro.serving import RetryPolicy
+
+        pool = self._pool_with_buggy_plan(retry=RetryPolicy(max_retries=2))
+        failed, healthy = pool.run()
+        assert failed.reason == "internal-error"
+        assert failed.attempts == 1  # a bug is not a transient: no retry
+        assert isinstance(failed.error, RuntimeError)
+        assert failed.details == {"exception": "RuntimeError"}
+        assert healthy.ok and healthy.workload == "local_clustering"
+        reference = _session().run("local_clustering").output
+        assert np.array_equal(healthy.output, reference)
+        health = pool.health()
+        assert health.failed == 1
+        assert health.retries == 0
+
+    def test_strict_pool_propagates_foreign_exceptions(self):
+        pool = self._pool_with_buggy_plan()
         with pytest.raises(RuntimeError, match="genuine bug"):
             pool.run()
 
