@@ -16,14 +16,13 @@ side:
   degeneracy order, build the oriented CSR, one ``searchsorted``): the
   ceiling for a NumPy implementation with no cost model at all.
 
-Every time is the median of ``REPEATS`` runs after one warm-up (min
+Every time is the median of 5 runs after one warm-up (min
 and max are recorded too).  The stage and per-burst runs are asserted
 to return the same count and bit-identical modeled cycles.
 
-Env knobs: ``BENCH_STAGE_N`` / ``BENCH_STAGE_M`` (graph size),
-``BENCH_STAGE_REPEATS`` (default 5) and ``BENCH_STAGE_MIN_SPEEDUP``
-(the stage-vs-per-burst floor, default 3.0; CI passes a smaller graph
-and a looser floor).
+Env knobs: ``BENCH_STAGE_N`` / ``BENCH_STAGE_M`` (graph size) and
+``BENCH_STAGE_MIN_SPEEDUP`` (the stage-vs-per-burst floor, default
+3.0; CI passes a smaller graph and a looser floor).
 """
 
 import gc
@@ -44,7 +43,7 @@ from common import emit, emit_json
 
 N = int(os.environ.get("BENCH_STAGE_N", "20000"))
 M = int(os.environ.get("BENCH_STAGE_M", "60000"))
-REPEATS = int(os.environ.get("BENCH_STAGE_REPEATS", "5"))
+REPEATS = 5
 MIN_SPEEDUP = float(os.environ.get("BENCH_STAGE_MIN_SPEEDUP", "3.0"))
 
 

@@ -186,16 +186,16 @@ def _shape_key(
 
 def _first_occurrence_keys(
     ca: np.ndarray, cb: np.ndarray, ra: np.ndarray, rb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group count-form ops by their :func:`_shape_key` class.
 
     ``ca``/``cb`` rank the operands' cardinalities (order-preserving,
-    below ``2**30``) and ``ra``/``rb`` are their representation codes.
-    Returns ``(key_of, first, counts, keys)``: each op's key number
-    (keys numbered in first-occurrence order), the first op of every
-    key, every key's op count, and every key packed into one int64 —
-    class, flag and cardinality ranks, unique among the keys of one
-    stage (one op, one universe).
+    below ``2**30``) and ``ra``/``rb`` are their representation codes;
+    each op's class, flag and cardinality ranks are packed into one
+    int64, unique among the keys of one stage (one op, one universe).
+    Returns ``(key_of, first, counts)``: each op's key number (keys
+    numbered in first-occurrence order), the first op of every key and
+    every key's op count.
     """
     a_dense = ra == 2
     b_dense = rb == 2
@@ -205,7 +205,7 @@ def _first_occurrence_keys(
     cls = np.where(sparse, 4 + bigger_unsorted, np.where(mixed, 2 + a_dense, 0))
     x = np.where(sparse, ca, np.where(mixed, np.where(a_dense, cb, ca), 0))
     y = np.where(sparse, cb, 0)
-    keys, first, inverse = np.unique(
+    __, first, inverse = np.unique(
         (cls << 60) | (x << 30) | y, return_index=True, return_inverse=True
     )
     order = np.argsort(first, kind="stable")
@@ -213,7 +213,7 @@ def _first_occurrence_keys(
     renumber[order] = np.arange(order.size)
     key_of = renumber[inverse.ravel()]
     counts = np.bincount(key_of, minlength=order.size)
-    return key_of, first[order], counts, keys[order]
+    return key_of, first[order], counts
 
 
 class StageOperands:
@@ -221,11 +221,7 @@ class StageOperands:
 
     Sets are addressed by rank (position in ``metas``, whose set ids
     are ``set_ids``).  The shape columns the stage dispatch keys
-    decisions on are extracted once per stage.  The stage also keeps
-    every decision it has made or read — sorted packed shape keys in
-    ``known``, the decision tuples in ``decisions`` — so a shape is
-    resolved once per stage, not once per chunk, and shapes first seen
-    after the shared memo reached its limit stay decided.
+    decisions on are extracted once per stage.
     """
 
     def __init__(self, set_ids: np.ndarray, metas: list[SetMeta]):
@@ -238,31 +234,6 @@ class StageOperands:
         self.codes = np.fromiter(
             (code[m.representation] for m in metas), np.int64, n
         )
-        self.known = np.zeros(0, dtype=np.int64)
-        self.known_decision = np.zeros(0, dtype=np.int64)
-        self.decisions: list[tuple] = []
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """The ``decisions`` index of every packed key (-1: unseen)."""
-        found = np.full(keys.size, -1, dtype=np.int64)
-        if self.known.size:
-            at = np.searchsorted(self.known, keys)
-            np.minimum(at, self.known.size - 1, out=at)
-            hit = self.known[at] == keys
-            found[hit] = self.known_decision[at[hit]]
-        return found
-
-    def remember(self, keys: np.ndarray, decisions: list[tuple]) -> np.ndarray:
-        """Record ``decisions`` for the unseen ``keys``; returns their
-        ``decisions`` indices."""
-        start = len(self.decisions)
-        self.decisions.extend(decisions)
-        index = np.arange(start, len(self.decisions), dtype=np.int64)
-        known = np.concatenate([self.known, keys])
-        order = np.argsort(known, kind="stable")
-        self.known = known[order]
-        self.known_decision = np.concatenate([self.known_decision, index])[order]
-        return index
 
 
 class Scu:
@@ -549,10 +520,13 @@ class Scu:
         * the SMB replays the chunk's access sequence (a, b₁, a, b₂,
           …, then the fetches) in one loop, so the LRU trajectory and
           hit/miss counts are identical;
-        * :meth:`_decide` runs once per unique operand-shape key, in
-          first-occurrence order, so memo fills and their order match;
-          a key's later ops add its backend/pick counters, and the
-          ``memo_event`` hook sees the per-op read/fill sequence;
+        * unique operand-shape keys are resolved in first-occurrence
+          order through the shared memo, :meth:`_decide` filling the
+          shapes it lacks, so memo fills and their order match; a key's
+          later ops add its backend/pick counters (once the memo is
+          full, :meth:`_decide` runs for every op of a new shape, as in
+          the per-burst stream), and the ``memo_event`` hook sees the
+          per-op read/fill sequence;
         * ``by_opcode`` and the observability dispatch counters receive
           new labels in first-dispatch order;
         * per-op cost components are elementwise float adds in the
@@ -597,73 +571,60 @@ class Scu:
         costs: list[Cost] = []
         key_of = np.zeros(0, dtype=np.int64)
         if nops:
-            key_of, first, counts, keys = _first_occurrence_keys(
+            key_of, first, counts = _first_occurrence_keys(
                 operands.card_rank[a], operands.card_rank[b],
                 operands.codes[a], operands.codes[b],
             )
             metas = operands.metas
             memo = self._decision_memo
             hook = self.memo_event
-            decision_of = operands.lookup(keys)
-            fresh = np.flatnonzero(decision_of < 0).tolist()
-            # Ops whose counters _decide already recorded (one per
-            # shape it decided).
-            recorded = np.zeros(keys.size, dtype=np.int64)
+            # Ops whose counters the SCU still has to add (the ops
+            # _decide did not already record).
+            extras = counts.tolist()
+            shape_keys = []
             filled: set[int] = set()
-            found = []
             self.memo_event = None
             try:
-                for kk in fresh:
-                    i = first[kk]
+                for kk, i in enumerate(first.tolist()):
                     ma = metas[a[i]]
                     mb = metas[b[i]]
                     key = _shape_key(op, ma, mb, 0, True)
+                    shape_keys.append(key)
                     entry = memo.get(key)
                     if entry is None:
                         size = len(memo)
-                        merge0 = stats.merge_picks
-                        gallop0 = stats.gallop_picks
                         decision = self._decide(op, ma, mb, 0, True)
-                        recorded[kk] = 1
                         if len(memo) > size:
                             filled.add(kk)
+                            extras[kk] -= 1
                             entry = memo[key]
                         else:
-                            picks = (
-                                2 if stats.gallop_picks > gallop0
-                                else 1 if stats.merge_picks > merge0
-                                else 0
-                            )
-                            entry = (*decision, picks)
-                    found.append(entry)
+                            # The memo is full: like the per-burst
+                            # stream, decide every op of this shape.
+                            for __ in range(extras[kk] - 1):
+                                self._decide(op, ma, mb, 0, True)
+                            extras[kk] = 0
+                            entry = (*decision, 0)
+                    opcode, backend, variant, cost, picks = entry
+                    extra = extras[kk]
+                    if backend == "pum":
+                        stats.pum_ops += extra
+                    elif backend == "pnm":
+                        stats.pnm_ops += extra
+                    else:
+                        stats.host_ops += extra
+                    if picks == 1:
+                        stats.merge_picks += extra
+                    elif picks == 2:
+                        stats.gallop_picks += extra
+                    opcodes.append(opcode)
+                    backends.append(backend)
+                    variants.append(variant)
+                    costs.append(cost)
             finally:
                 self.memo_event = hook
-            if fresh:
-                decision_of[fresh] = operands.remember(keys[fresh], found)
-            decisions = operands.decisions
-            extras = (counts - recorded).tolist()
-            for d, extra in zip(decision_of.tolist(), extras):
-                opcode, backend, variant, cost, picks = decisions[d]
-                if backend == "pum":
-                    stats.pum_ops += extra
-                elif backend == "pnm":
-                    stats.pnm_ops += extra
-                else:
-                    stats.host_ops += extra
-                if picks == 1:
-                    stats.merge_picks += extra
-                elif picks == 2:
-                    stats.gallop_picks += extra
-                opcodes.append(opcode)
-                backends.append(backend)
-                variants.append(variant)
-                costs.append(cost)
             if hook is not None:
                 first_of = first.tolist()
-                shape_keys = [
-                    _shape_key(op, metas[a[i]], metas[b[i]], 0, True)
-                    for i in first_of
-                ]
                 for i, kk in enumerate(key_of.tolist()):
                     hook("read", shape_keys[kk])
                     if kk in filled and i == first_of[kk]:

@@ -196,11 +196,12 @@ class PlanStage:
     computes — shared between plans, e.g. the triangle count inside
     ``clustering_coefficient``).
 
-    A bursts stage declares its work either as ``table(session,
-    state) -> BurstTable`` — flat arrays the sequential executor runs
-    as one whole stage, and from which ``units`` is derived by the
-    generic adapter :func:`table_units` for the fused, scheduled and
-    dynamic-checker executors — or as a hand-written ``units`` generator.
+    A bursts stage declares its work as ``table(session, state) ->
+    BurstTable``: flat arrays the sequential executor runs as one whole
+    stage, and from which ``units`` is derived by the generic adapter
+    :func:`table_units` for the fused, scheduled and dynamic-checker
+    executors.  A stage given only ``units`` can be fused, replayed or
+    checked dynamically, but not run sequentially.
 
     Burst-generator contract: producing a unit may open its task and
     charge engine costs (``begin_task``, the neighborhood iterator) but
@@ -476,8 +477,10 @@ class PlanExecutor:
         :class:`~repro.errors.InjectedFault` here so the retry and
         isolation machinery — which deliberately handles only the
         package's own failure taxonomy — treats them as the transients
-        they simulate, while a genuine bug in executing code still
-        propagates."""
+        they simulate.  A genuine bug in executing code is not wrapped:
+        it propagates out of the executor, escapes a strict
+        :class:`~repro.session.pool.SessionPool` and becomes an
+        ``internal-error`` FailedResult in a hardened one."""
         if self.fault_injector is None:
             return
         try:
@@ -636,16 +639,15 @@ class PlanExecutor:
                     w0 = ctx.engine.work_cycles()
                 if stage.kind == "call":
                     value = stage.run(session, state)
-                elif stage.table is not None:
+                else:
+                    if stage.table is None:
+                        raise ConfigError(
+                            f"bursts stage {stage.label!r} declares no "
+                            "table; sequential execution runs a bursts "
+                            "stage through its table"
+                        )
                     table = stage.table(session, state)
                     table.reduce(state, table.execute(ctx))
-                    value = stage.result(state)
-                else:
-                    for unit in stage.units(session, state):
-                        counts = getattr(ctx, f"{unit.kind}_count_batch")(
-                            unit.a, unit.bs
-                        )
-                        unit.sink(counts)
                     value = stage.result(state)
                 if rec is not None:
                     rec.end(sspan, cycles=ctx.engine.work_cycles() - w0)

@@ -72,7 +72,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
-from repro.errors import AdmissionError, ConfigError
+from repro.errors import AdmissionError, ConfigError, ReproError
 from repro.observability import JsonlSink, Observability
 from repro.serving.admission import AdmissionController, RetryPolicy, TenantQuota
 from repro.serving.validation import resolve_execution_config
@@ -612,8 +612,10 @@ class SessionPool:
         retry ledger and try again, up to the policy bound.  Each
         attempt runs through :meth:`PlanExecutor.execute_isolated`,
         which turns the package's own failures into FailedResults; an
-        exception outside that taxonomy ends the plan at once as an
-        ``internal-error`` FailedResult (a bug is not retried)."""
+        exception outside that taxonomy, raised by the plan, by the
+        drift recompile or by the injector's ``before_plan`` hook, ends
+        the plan at once as an ``internal-error`` FailedResult (a bug
+        is not retried)."""
         tenant = plan.tenant or "default"
         retry = self.retry if self.retry is not None else _DEFAULT_RETRY
         injector = self.fault_injector
@@ -646,26 +648,27 @@ class SessionPool:
                         "cycle_budget": self.admission.quota(tenant).cycle_budget,
                     },
                 )
-            if current.stale:
-                if not retry.recompile_on_drift:
-                    return give_up(
-                        "drift",
-                        {
-                            "pinned_version": current.version,
-                            "stream_version": session._version,
-                        },
-                    )
-                current = compile_plan(
-                    session,
-                    current.name,
-                    dict(current.params),
-                    tenant=current.tenant,
+            if current.stale and not retry.recompile_on_drift:
+                return give_up(
+                    "drift",
+                    {
+                        "pinned_version": current.version,
+                        "stream_version": session._version,
+                    },
                 )
-                self._drift_recompiles += 1
-            if injector is not None:
-                injector.before_plan(session, current)
-            mark = session.ctx.mark()
+            mark = None
             try:
+                if current.stale:
+                    current = compile_plan(
+                        session,
+                        current.name,
+                        dict(current.params),
+                        tenant=current.tenant,
+                    )
+                    self._drift_recompiles += 1
+                if injector is not None:
+                    injector.before_plan(session, current)
+                mark = session.ctx.mark()
                 (result,) = PlanExecutor(
                     session,
                     fuse=self.fuse,
@@ -673,10 +676,13 @@ class SessionPool:
                     fault_injector=injector,
                     verify=verify,
                 ).execute_isolated([current])
+            except ReproError:
+                raise
             except Exception as exc:  # repolint: disable=overbroad-except -- hardened mode contains any plan failure
-                # A foreign exception is a bug, not a transient: it is
-                # contained to this plan (other tenants keep their
-                # results) but never retried.
+                # A foreign exception (from the drift recompile, the
+                # injector hook or the plan itself) is a bug, not a
+                # transient: it is contained to this plan (other
+                # tenants keep their results) but never retried.
                 result = FailedResult(
                     workload=current.name,
                     params=dict(current.params),
@@ -690,7 +696,11 @@ class SessionPool:
                 return result
             attempts += 1
             last_failure = result
-            wasted = _report_work_cycles(session.ctx.report_since(mark))
+            wasted = (
+                _report_work_cycles(session.ctx.report_since(mark))
+                if mark is not None
+                else 0.0
+            )
             plan_retry_cycles += wasted
             self._wasted_cycles += wasted
             self._tenant_retry_cycles[tenant] = (

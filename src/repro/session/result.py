@@ -95,8 +95,10 @@ class FailedResult:
       before the plan started;
     * ``"error"`` — any other failure from the package's own error
       taxonomy (:class:`~repro.errors.ReproError`);
-    * ``"internal-error"`` — an exception outside that taxonomy (a
-      bug, not a transient): contained to its plan and never retried;
+    * ``"internal-error"`` — an exception outside that taxonomy raised
+      by the plan, by its drift recompile or by the fault injector's
+      ``before_plan`` hook (a bug, not a transient): contained to its
+      plan and never retried;
       ``error`` holds the exception and ``details["exception"]`` its
       type name.
 

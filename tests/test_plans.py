@@ -43,6 +43,10 @@ from repro.session import (
     WorkloadPlan,
 )
 from repro.session.registry import get_workload
+from repro.streaming.incremental import (
+    clustering_coefficients_from_counts,
+    degrees_of,
+)
 
 
 def _graph(seed=3, n=60, p=0.12):
@@ -702,13 +706,40 @@ def _stage_machine_state(session) -> dict:
 
 
 def _eager_reference(session, stage, pairs, measure, batch):
-    """The per-burst reference: the eager ``*_on`` kernel."""
+    """The per-burst reference: the eager kernel, issuing each burst as
+    one ``*_count_batch`` call (``batch=True``) or as a scalar
+    ``intersect_count`` loop (``batch=False``)."""
     ctx = session.ctx
     if stage == "triangles":
         return triangle_count_oriented(session.oriented_setgraph, ctx, batch=batch)
     if stage == "local_clustering":
-        return get_workload("local_clustering").fn(session)
+        if batch:
+            return get_workload("local_clustering").fn(session)
+        sg = session.setgraph
+        counts = np.zeros(sg.num_vertices, dtype=np.int64)
+        for v in range(sg.num_vertices):
+            ctx.begin_task()
+            nv = sg.neighborhood(v)
+            counts[v] = sum(
+                ctx.intersect_count(nv, sg.neighborhood(int(u)))
+                for u in ctx.elements(nv)
+            ) // 2
+        return clustering_coefficients_from_counts(counts, degrees_of(sg))
     return all_pairs_similarity_on(ctx, session.setgraph, pairs, measure=measure)
+
+
+# (stage, batch) draws.  A watchlist stage is only compared against the
+# batched fan-out: ``all_pairs_similarity_on(batch=False)`` opens one
+# task per pair instead of one per shared-first-vertex run, so its lane
+# placement is a different schedule, not a per-burst reference.
+_STAGE_DRAWS = [
+    (stage, batch)
+    for stage in ("triangles", "local_clustering")
+    for batch in (True, False)
+] + [
+    (measure, True)
+    for measure in ("jaccard", "overlap", "common_neighbors", "total_neighbors")
+]
 
 
 class TestWholeStageExactness:
@@ -724,18 +755,15 @@ class TestWholeStageExactness:
         regime=st.sampled_from(sorted(_STAGE_REGIMES)),
         smb=st.sampled_from(sorted(_SMB)),
         gallop=st.sampled_from([None, 0.25, 4.0]),
-        stage=st.sampled_from(
-            ["triangles", "local_clustering", "jaccard", "overlap",
-             "common_neighbors", "total_neighbors"]
-        ),
-        batch=st.booleans(),
+        stage_batch=st.sampled_from(_STAGE_DRAWS),
         memo_limit=st.sampled_from([None, 0, 3, 12]),
         budget=st.sampled_from([None, 1, 16, 64]),
         seed=st.integers(0, 3),
     )
     def test_stage_path_matches_per_burst_stream(
-        self, graph, regime, smb, gallop, stage, batch, memo_limit, budget, seed
+        self, graph, regime, smb, gallop, stage_batch, memo_limit, budget, seed
     ):
+        stage, batch = stage_batch
         g = _STAGE_GRAPHS[graph]()
         config = ExecutionConfig(
             threads=8,
@@ -808,3 +836,10 @@ class TestWholeStageExactness:
         assert _stage_machine_state(stage_session) == _stage_machine_state(
             eager_session
         )
+
+    def test_sequential_bursts_stage_needs_a_table(self):
+        session = SisaSession(_graph())
+        plan = session.compile("triangles")
+        plan.stages[1].table = None
+        with pytest.raises(ConfigError, match="declares no table"):
+            PlanExecutor(session, fuse=False).execute([plan])

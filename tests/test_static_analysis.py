@@ -502,6 +502,65 @@ class TestExceptionContracts:
         with pytest.raises(RuntimeError, match="genuine bug"):
             pool.run()
 
+    @staticmethod
+    def _assert_contained(pool):
+        failed, healthy = pool.run()
+        assert failed.reason == "internal-error"
+        assert failed.attempts == 1
+        assert isinstance(failed.error, RuntimeError)
+        assert failed.details == {"exception": "RuntimeError"}
+        assert healthy.ok and healthy.workload == "local_clustering"
+        assert pool.health().failed == 1
+
+    def test_hardened_pool_contains_foreign_exceptions_in_recompile(
+        self, monkeypatch
+    ):
+        import repro.session.pool as pool_mod
+        from repro.serving import RetryPolicy
+
+        graph = _graph()
+        pool = SessionPool(
+            ExecutionConfig(threads=8), retry=RetryPolicy(max_retries=2)
+        )
+        stale = pool.submit("g", "triangles", graph=graph, tenant="a")
+        pool.submit("g", "local_clustering", graph=graph, tenant="b")
+        stale.version = -1  # pinned to a version the stream has left
+        real_compile = pool_mod.compile_plan
+
+        def compile_or_boom(session, name, params, **kw):
+            if name == "triangles":
+                raise RuntimeError("workload builder bug")
+            return real_compile(session, name, params, **kw)
+
+        monkeypatch.setattr(pool_mod, "compile_plan", compile_or_boom)
+        self._assert_contained(pool)
+
+    def test_hardened_pool_contains_foreign_exceptions_in_before_plan(self):
+        from repro.serving import RetryPolicy
+
+        class BuggyHook:
+            injected = {}
+
+            def before_batch(self, session, plans):
+                pass
+
+            def before_plan(self, session, plan):
+                if plan.name == "triangles":
+                    raise RuntimeError("injector hook bug")
+
+            def on_stage(self, plan, stage):
+                pass
+
+        graph = _graph()
+        pool = SessionPool(
+            ExecutionConfig(threads=8),
+            retry=RetryPolicy(max_retries=2),
+            fault_injector=BuggyHook(),
+        )
+        pool.submit("g", "triangles", graph=graph, tenant="a")
+        pool.submit("g", "local_clustering", graph=graph, tenant="b")
+        self._assert_contained(pool)
+
     def test_internal_invariant_errors_carry_details(self):
         with pytest.raises(ReproError) as err:
             raise SisaError("internal error: example", details={"k": 1})
