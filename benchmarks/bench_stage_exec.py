@@ -25,12 +25,7 @@ Env knobs: ``BENCH_STAGE_N`` / ``BENCH_STAGE_M`` (graph size) and
 3.0; CI passes a smaller graph and a looser floor).
 """
 
-import gc
 import os
-import platform
-import statistics
-import subprocess
-import time
 
 import networkx as nx
 import numpy as np
@@ -39,7 +34,7 @@ from repro.algorithms.triangles import triangle_count_oriented
 from repro.graphs.generators import chung_lu_graph
 from repro.session import ExecutionConfig, SisaSession
 
-from common import emit, emit_json
+from common import emit, emit_json, provenance, timed
 
 N = int(os.environ.get("BENCH_STAGE_N", "20000"))
 M = int(os.environ.get("BENCH_STAGE_M", "60000"))
@@ -76,34 +71,6 @@ def numpy_triangles(graph, order) -> int:
     return int(np.count_nonzero(keys[pos] == queries))
 
 
-def _timed(fn):
-    """Median/min/max seconds of ``REPEATS`` calls after one warm-up,
-    plus the last call's result."""
-    result = fn()
-    times = []
-    for __ in range(REPEATS):
-        gc.collect()
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return {
-        "median_s": statistics.median(times),
-        "min_s": min(times),
-        "max_s": max(times),
-    }, result
-
-
-def _git_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def _run():
     graph = chung_lu_graph(N, M, gamma=2.2, seed=0)
     staged, eager = _session(graph), _session(graph)
@@ -120,17 +87,18 @@ def _run():
     nx_graph.add_edges_from(graph.edge_array().tolist())
     order = staged.degeneracy.order
     rows = {}
-    rows["per_burst"], out = _timed(
-        lambda: triangle_count_oriented(eager.oriented_setgraph, eager.ctx)
+    rows["per_burst"], out = timed(
+        lambda: triangle_count_oriented(eager.oriented_setgraph, eager.ctx),
+        REPEATS,
     )
     assert out == count
-    rows["stage"], out = _timed(lambda: staged.run("triangles").output)
+    rows["stage"], out = timed(lambda: staged.run("triangles").output, REPEATS)
     assert out == count
-    rows["networkx"], out = _timed(
-        lambda: sum(nx.triangles(nx_graph).values()) // 3
+    rows["networkx"], out = timed(
+        lambda: sum(nx.triangles(nx_graph).values()) // 3, REPEATS
     )
     assert out == count
-    rows["numpy"], out = _timed(lambda: numpy_triangles(graph, order))
+    rows["numpy"], out = timed(lambda: numpy_triangles(graph, order), REPEATS)
     assert out == count
     return graph, count, cycles, rows
 
@@ -163,12 +131,7 @@ def test_stage_exec_speedup(benchmark):
             "repeats": REPEATS,
             "times": rows,
             "speedup_stage_vs_per_burst": speedup,
-            "provenance": {
-                "git_sha": _git_sha(),
-                "cores": os.cpu_count(),
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-            },
+            "provenance": provenance(),
         },
         floors={"min_speedup": MIN_SPEEDUP},
     )

@@ -9,10 +9,18 @@ capture.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import os
+import platform
+import statistics
+import subprocess
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import numpy as np
 
 from repro.session import ExecutionConfig, SisaSession
 
@@ -48,6 +56,43 @@ def session_cell(
     run = SisaSession(graph, config).run(workload, **params)
     output = run.output if digest is None else digest(run.output)
     return output, run.runtime_cycles
+
+
+def timed(fn, repeats: int):
+    """Median/min/max wall seconds of ``repeats`` calls of ``fn`` after
+    one warm-up (``gc.collect()`` before each), plus the last call's
+    result."""
+    result = fn()
+    times = []
+    for __ in range(repeats):
+        gc.collect()
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return {
+        "median_s": statistics.median(times),
+        "min_s": min(times),
+        "max_s": max(times),
+    }, result
+
+
+def provenance() -> dict:
+    """Where a wall-clock record was measured: the git commit, the core
+    count and the Python/NumPy versions."""
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "git_sha": sha,
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def emit(name: str, render) -> str:

@@ -158,12 +158,14 @@ class ExecutionEngine:
     def on_lane(self, lane: int):
         """Temporarily make ``lane`` the charging target.
 
-        Used by the fused cross-task burst path: a constituent burst's
-        ops must land on the lane its task was placed on at unit
-        creation, even though other plans' tasks have moved the current
-        lane since.  Both the outgoing and the pinned lane's cached
-        times are refreshed, preserving the begin_task invariant that
-        only the current lane's cached time can be stale.
+        Used by per-unit execution of deferred bursts (the dynamic
+        contract checker; :meth:`charge_tasks` models the same pin for
+        fused batches): a burst's ops must land on the lane its task
+        was placed on at unit creation, even though other tasks have
+        moved the current lane since.  Both the outgoing and the pinned
+        lane's cached times are refreshed, preserving the begin_task
+        invariant that only the current lane's cached time can be
+        stale.
         """
         bpc = self.bytes_per_cycle
         times = self._lane_times
@@ -238,14 +240,27 @@ class ExecutionEngine:
         compute: list[float],
         memory: list[float],
         latency: list[float],
+        *,
+        tasks: list[int] | None = None,
+        tenants: list | None = None,
     ) -> list[int]:
-        """Run a sequence of tasks: task ``t`` is placed exactly as
-        :meth:`begin_task` would place it (greedy, least-loaded lane,
-        task counted, tenant shadow lanes mirrored), then charged the
-        cost components ``[offsets[t], offsets[t + 1])`` left to right —
-        the float additions a ``begin_task`` plus one :meth:`charge` per
-        component triple would perform.  Returns the lane of every task;
-        the last task's lane stays current."""
+        """Run a sequence of task segments, charging segment ``s`` the
+        cost components ``[offsets[s], offsets[s + 1])`` left to right —
+        the float additions one :meth:`charge` per component triple
+        would perform — and return the lane of every placed task.
+
+        Without ``tasks`` every segment places a new task exactly as
+        :meth:`begin_task` would (greedy, least-loaded lane, task
+        counted) and charges it; the last task's lane stays current.
+        With ``tasks``, segment ``s`` places a new task when
+        ``tasks[s] < 0`` and otherwise charges the lane of the
+        ``tasks[s]``-th task this call placed, as :meth:`on_lane` would
+        (the outgoing and the pinned lane's cached times refreshed), so
+        a task's placement and its charges can sit at different points
+        of the stream.  ``tenants[s]`` is the shadow-lane list segment
+        ``s`` mirrors into (:meth:`tenant_lanes`; ``None``: none);
+        without ``tenants`` every segment mirrors into the current
+        tenant's, as :meth:`charge` does."""
         bpc = self.bytes_per_cycle
         lanes = self._lanes
         times = self._lane_times
@@ -256,7 +271,12 @@ class ExecutionEngine:
         order = sorted(zip(times, range(len(times))))
         placed = []
         hi = offsets[0]
-        for t in range(len(offsets) - 1):
+        for s in range(len(offsets) - 1):
+            if tenants is not None:
+                shadow = tenants[s]
+            pin = tasks is not None and tasks[s] >= 0
+            # Refresh the current lane's cached time (the only stale
+            # one), then place or pin.
             lane = lanes[current]
             time = (
                 lane.compute_cycles + lane.latency_cycles
@@ -266,14 +286,18 @@ class ExecutionEngine:
                 del order[bisect_left(order, (times[current], current))]
                 insort(order, (time, current))
                 times[current] = time
-            current = order[0][1]
-            placed.append(current)
+            if pin:
+                target = placed[tasks[s]]
+            else:
+                target = current = order[0][1]
+                placed.append(current)
             lo = hi
-            hi = offsets[t + 1]
-            for lane in (lanes[current],) if shadow is None else (
-                lanes[current], shadow[current]
+            hi = offsets[s + 1]
+            for lane in (lanes[target],) if shadow is None else (
+                lanes[target], shadow[target]
             ):
-                lane.tasks += 1
+                if not pin:
+                    lane.tasks += 1
                 c = lane.compute_cycles
                 m = lane.memory_bytes
                 lat = lane.latency_cycles
@@ -284,6 +308,18 @@ class ExecutionEngine:
                 lane.compute_cycles = c
                 lane.memory_bytes = m
                 lane.latency_cycles = lat
+            if pin:
+                # on_lane's exit: the pinned lane's cached time is
+                # refreshed too.
+                lane = lanes[target]
+                time = (
+                    lane.compute_cycles + lane.latency_cycles
+                    + lane.memory_bytes / bpc
+                )
+                if time != times[target]:
+                    del order[bisect_left(order, (times[target], target))]
+                    insort(order, (time, target))
+                    times[target] = time
         self._current = current
         return placed
 
@@ -296,13 +332,18 @@ class ExecutionEngine:
             self._tenant_tag = None
             self._tenant_lanes = None
             return
+        self._tenant_tag = tag
+        self._tenant_lanes = self.tenant_lanes(tag)
+
+    def tenant_lanes(self, tag: object) -> list[LaneState]:
+        """``tag``'s shadow lanes (created empty on first use, as
+        :meth:`set_tenant` creates them), for :meth:`charge_tasks`."""
         lanes = self._tenants.get(tag)
         if lanes is None:
             lanes = self._tenants[tag] = [
                 LaneState() for _ in range(self.threads)
             ]
-        self._tenant_tag = tag
-        self._tenant_lanes = lanes
+        return lanes
 
     def tenant_report(self, tag: object) -> EngineReport:
         """The engine report of one tenant's attributed charges (zeros

@@ -128,21 +128,24 @@ class BatchDispatch:
 
 @dataclass
 class StageDispatch:
-    """Outcome of one SCU pass over a chunk of a whole count stage.
+    """Outcome of one SCU pass over a chunk of count bursts.
 
     Decisions are stored once per unique operand-shape key
-    (``opcodes``/``backends``/``variants``) and referenced per op by
-    ``key_of``; per-op cost components are float64 arrays formed by
-    the same float additions, in the same order, as
-    :meth:`Scu.dispatch_binary_batch`.  ``fetch_compute`` /
+    (``opcodes``/``backends``/``variants``/``picks``, ``picks`` being
+    the merge (1) / galloping (2) pick a key's op counts) and
+    referenced per op by ``key_of``; per-op cost components are
+    float64 arrays formed by the same float additions, in the same
+    order, as :meth:`Scu.dispatch_binary_batch` (or, under the fused
+    rule, :meth:`Scu.dispatch_binary_fused`).  ``fetch_compute`` /
     ``fetch_latency`` cost the post-burst cardinality fetches (their
-    memory component is zero); task ``t``'s fetches are
-    ``fetch_offsets[t]:fetch_offsets[t + 1]``.
+    memory component is zero); row ``r``'s fetches are
+    ``fetch_offsets[r]:fetch_offsets[r + 1]``.
     """
 
     opcodes: list[Opcode]
     backends: list[str]
     variants: list[str]
+    picks: list[int]
     key_of: np.ndarray
     compute: np.ndarray
     memory: np.ndarray
@@ -185,17 +188,22 @@ def _shape_key(
 
 
 def _first_occurrence_keys(
-    ca: np.ndarray, cb: np.ndarray, ra: np.ndarray, rb: np.ndarray
+    ca: np.ndarray,
+    cb: np.ndarray,
+    ra: np.ndarray,
+    rb: np.ndarray,
+    opc: np.ndarray | int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group count-form ops by their :func:`_shape_key` class.
 
     ``ca``/``cb`` rank the operands' cardinalities (order-preserving,
-    below ``2**30``) and ``ra``/``rb`` are their representation codes;
-    each op's class, flag and cardinality ranks are packed into one
-    int64, unique among the keys of one stage (one op, one universe).
-    Returns ``(key_of, first, counts)``: each op's key number (keys
-    numbered in first-occurrence order), the first op of every key and
-    every key's op count.
+    below ``2**28``), ``ra``/``rb`` are their representation codes and
+    ``opc`` numbers each op's operation (below 4); each op's operation,
+    class, flag and cardinality ranks are packed into one int64, unique
+    among the keys of one pass (one universe).  Returns ``(key_of,
+    first, counts)``: each op's key number (keys numbered in
+    first-occurrence order), the first op of every key and every key's
+    op count.
     """
     a_dense = ra == 2
     b_dense = rb == 2
@@ -206,7 +214,9 @@ def _first_occurrence_keys(
     x = np.where(sparse, ca, np.where(mixed, np.where(a_dense, cb, ca), 0))
     y = np.where(sparse, cb, 0)
     __, first, inverse = np.unique(
-        (cls << 60) | (x << 30) | y, return_index=True, return_inverse=True
+        ((4 * cls + opc) << 56) | (x << 28) | y,
+        return_index=True,
+        return_inverse=True,
     )
     order = np.argsort(first, kind="stable")
     renumber = np.empty_like(order)
@@ -499,27 +509,37 @@ class Scu:
 
     def dispatch_stage_batch(
         self,
-        op: SetOp,
+        op: SetOp | list[SetOp],
         operands: StageOperands,
         probes: np.ndarray,
         offsets: np.ndarray,
         frontier: np.ndarray,
         *,
-        fetch_cardinalities: bool = False,
+        fetch_cardinalities: bool | np.ndarray = False,
+        decode: np.ndarray | None = None,
     ) -> StageDispatch:
-        """Amortized dispatch of one chunk of a whole count stage.
+        """Amortized dispatch of a chunk of count bursts.
 
-        Row ``r`` is one task: the count burst ``probes[r] op b`` for
-        every ``b`` in ``frontier[offsets[r]:offsets[r + 1]]`` (ranks
-        into ``operands``), followed — with ``fetch_cardinalities`` and
-        a non-empty burst — by the fetches ``|probes[r]|`` and then
-        every ``|b|``.  The modeled state ends exactly where issuing
-        the bursts through :meth:`dispatch_binary_batch` and the
-        fetches through :meth:`dispatch_cardinality` would leave it:
+        Row ``r`` is one burst: ``probes[r] op b`` for every ``b`` in
+        ``frontier[offsets[r]:offsets[r + 1]]`` (ranks into
+        ``operands``; ``op`` is one operation or one per row), followed
+        — with ``fetch_cardinalities`` (one flag, or one per row) and a
+        non-empty burst — by the fetches ``|probes[r]|`` and then every
+        ``|b|``.  With ``decode=None`` every op is dispatched on its own
+        (the :meth:`dispatch_binary_batch` rule); with a per-row
+        ``decode`` flag array the rows are fused-macro constituents
+        charged as :meth:`dispatch_binary_fused` charges them: a row
+        looks its probe up once, ahead of its ops, the macro decode
+        lands on the first op of every row whose flag is set, and each
+        op pays only its frontier lookup plus the memoized decision.
+        The modeled state ends exactly where issuing the rows through
+        those per-burst methods and the fetches through
+        :meth:`dispatch_cardinality` would leave it:
 
-        * the SMB replays the chunk's access sequence (a, b₁, a, b₂,
-          …, then the fetches) in one loop, so the LRU trajectory and
-          hit/miss counts are identical;
+        * the SMB replays the chunk's access sequence (a, b₁, a, b₂, …
+          per op, or a, b₁, b₂, … fused, then the fetches) in one
+          :meth:`~repro.hw.cache.LruCache.access_many` call, so the LRU
+          trajectory and hit/miss counts are identical;
         * unique operand-shape keys are resolved in first-occurrence
           order through the shared memo, :meth:`_decide` filling the
           shapes it lacks, so memo fills and their order match; a key's
@@ -528,52 +548,77 @@ class Scu:
           the per-burst stream), and the ``memo_event`` hook sees the
           per-op read/fill sequence;
         * ``by_opcode`` and the observability dispatch counters receive
-          new labels in first-dispatch order;
+          new labels in first-dispatch order; ``fused_macros`` counts
+          the decoded rows (the per-tenant ``fused_macros_total`` feed
+          is the caller's, which knows the rows' tenants);
         * per-op cost components are elementwise float adds in the
           sequential order.
         """
         hw = self.hw
         stats = self.stats
+        fused = decode is not None
+        if fused and self.host_fallback:
+            raise IsaError("fused dispatch requires the SCU (sisa mode)")
         k = np.diff(offsets)
         nops = int(frontier.size)
         a = np.repeat(probes, k)
         b = frontier
+        if isinstance(op, SetOp):
+            ops = [op]
+            opc: np.ndarray | int = 0
+        else:
+            ops = list(dict.fromkeys(op))
+            code = {o: i for i, o in enumerate(ops)}
+            opc = np.repeat(
+                np.fromiter((code[o] for o in op), np.int64, k.size), k
+            )
         # -- metadata phase: one SMB replay over the access sequence ----
-        fetched = (
-            np.where(k > 0, k + 1, 0) if fetch_cardinalities else np.zeros_like(k)
-        )
+        fetch_row = np.asarray(fetch_cardinalities, dtype=bool) & (k > 0)
+        fetched = np.where(fetch_row, k + 1, 0)
+        burst_len = np.where(k > 0, k + 1, 0) if fused else 2 * k
         row_start = np.zeros(k.size + 1, dtype=np.int64)
-        np.cumsum(2 * k + fetched, out=row_start[1:])
-        pos_a = np.repeat(row_start[:-1] - 2 * offsets[:-1], k)
-        pos_a += 2 * np.arange(nops, dtype=np.int64)
+        np.cumsum(burst_len + fetched, out=row_start[1:])
         seq = np.empty(int(row_start[-1]), dtype=np.int64)
         ids = operands.set_ids
-        seq[pos_a] = ids[a]
-        seq[pos_a + 1] = ids[b]
+        if fused:
+            # Row r: its probe at row_start[r], then one access per op.
+            pos_b = np.repeat(row_start[:-1] + 1 - offsets[:-1], k)
+            pos_b += np.arange(nops, dtype=np.int64)
+            heads = row_start[:-1][k > 0]
+            seq[heads] = ids[probes[k > 0]]
+            pos_op = pos_b
+        else:
+            pos_a = np.repeat(row_start[:-1] - 2 * offsets[:-1], k)
+            pos_a += 2 * np.arange(nops, dtype=np.int64)
+            pos_b = pos_a + 1
+            seq[pos_a] = ids[a]
+            pos_op = pos_a
+        seq[pos_b] = ids[b]
         fetch_start = np.zeros(k.size + 1, dtype=np.int64)
         np.cumsum(fetched, out=fetch_start[1:])
         nf = int(fetch_start[-1])
-        fpos = np.repeat(row_start[:-1] + 2 * k - fetch_start[:-1], fetched)
+        fpos = np.repeat(row_start[:-1] + burst_len - fetch_start[:-1], fetched)
         fpos += np.arange(nf, dtype=np.int64)
         if nf:
-            heads = fetch_start[:-1][k > 0]
+            fheads = fetch_start[:-1][fetch_row]
             f_rank = np.empty(nf, dtype=np.int64)
-            f_rank[heads] = probes[k > 0]
+            f_rank[fheads] = probes[fetch_row]
             rest = np.ones(nf, dtype=bool)
-            rest[heads] = False
-            f_rank[rest] = b
+            rest[fheads] = False
+            f_rank[rest] = b[np.repeat(fetch_row, k)]
             seq[fpos] = ids[f_rank]
         hits = np.frombuffer(self.smb.access_many(seq.tolist()), dtype=np.bool_)
         # -- decisions: once per unique shape key -----------------------
         opcodes: list[Opcode] = []
         backends: list[str] = []
         variants: list[str] = []
+        picks: list[int] = []
         costs: list[Cost] = []
         key_of = np.zeros(0, dtype=np.int64)
         if nops:
             key_of, first, counts = _first_occurrence_keys(
                 operands.card_rank[a], operands.card_rank[b],
-                operands.codes[a], operands.codes[b],
+                operands.codes[a], operands.codes[b], opc,
             )
             metas = operands.metas
             memo = self._decision_memo
@@ -586,14 +631,16 @@ class Scu:
             self.memo_event = None
             try:
                 for kk, i in enumerate(first.tolist()):
+                    op_i = ops[0] if len(ops) == 1 else ops[opc[i]]
                     ma = metas[a[i]]
                     mb = metas[b[i]]
-                    key = _shape_key(op, ma, mb, 0, True)
+                    key = _shape_key(op_i, ma, mb, 0, True)
                     shape_keys.append(key)
                     entry = memo.get(key)
                     if entry is None:
                         size = len(memo)
-                        decision = self._decide(op, ma, mb, 0, True)
+                        before = (stats.merge_picks, stats.gallop_picks)
+                        decision = self._decide(op_i, ma, mb, 0, True)
                         if len(memo) > size:
                             filled.add(kk)
                             extras[kk] -= 1
@@ -602,10 +649,15 @@ class Scu:
                             # The memo is full: like the per-burst
                             # stream, decide every op of this shape.
                             for __ in range(extras[kk] - 1):
-                                self._decide(op, ma, mb, 0, True)
+                                self._decide(op_i, ma, mb, 0, True)
                             extras[kk] = 0
-                            entry = (*decision, 0)
-                    opcode, backend, variant, cost, picks = entry
+                            pick = (
+                                2 if stats.gallop_picks > before[1]
+                                else 1 if stats.merge_picks > before[0]
+                                else 0
+                            )
+                            entry = (*decision, pick)
+                    opcode, backend, variant, cost, pick = entry
                     extra = extras[kk]
                     if backend == "pum":
                         stats.pum_ops += extra
@@ -613,13 +665,14 @@ class Scu:
                         stats.pnm_ops += extra
                     else:
                         stats.host_ops += extra
-                    if picks == 1:
+                    if pick == 1:
                         stats.merge_picks += extra
-                    elif picks == 2:
+                    elif pick == 2:
                         stats.gallop_picks += extra
                     opcodes.append(opcode)
                     backends.append(backend)
                     variants.append(variant)
+                    picks.append(pick)
                     costs.append(cost)
             finally:
                 self.memo_event = hook
@@ -633,11 +686,26 @@ class Scu:
         disp_c = hw.scu_dispatch_cycles
         hit_c = hw.sm_hit_cycles
         miss_c = hw.pnm_random_access_cycles
-        hit_a = hits[pos_a]
-        hit_b = hits[pos_a + 1]
-        comp = disp_c + np.where(hit_a, hit_c, 0.0)
+        hit_b = hits[pos_b]
+        if fused:
+            # The row's probe lookup (and decode) rides on its first op.
+            lead = np.zeros(nops, dtype=bool)
+            lead[offsets[:-1][k > 0]] = True
+            hit_head = np.zeros(k.size, dtype=bool)
+            hit_head[k > 0] = hits[heads]
+            hit_a = np.repeat(hit_head, k)
+            comp = np.where(
+                lead,
+                np.where(np.repeat(decode, k), disp_c, 0.0)
+                + np.where(hit_a, hit_c, 0.0),
+                0.0,
+            )
+            lat = np.where(lead & ~hit_a, miss_c, 0.0)
+        else:
+            hit_a = hits[pos_a]
+            comp = disp_c + np.where(hit_a, hit_c, 0.0)
+            lat = np.where(hit_a, 0.0, miss_c)
         comp += np.where(hit_b, hit_c, 0.0)
-        lat = np.where(hit_a, 0.0, miss_c)
         lat += np.where(hit_b, 0.0, miss_c)
         if self.host_fallback:
             lat += self.cpu.config.set_op_latency_cycles
@@ -649,9 +717,11 @@ class Scu:
         fetch_latency = np.where(fetch_hit, 0.0, miss_c)
         # -- counters: new labels arrive in first-dispatch order -------
         stats.instructions += nops + nf
+        if fused:
+            stats.fused_macros += int(np.count_nonzero(decode & (k > 0)))
         firsts = []
         if nops:
-            op_pos = pos_a[first].tolist()
+            op_pos = pos_op[first].tolist()
             for kk, n in enumerate(counts.tolist()):
                 firsts.append((op_pos[kk], opcodes[kk], backends[kk], n))
         if nf:
@@ -665,7 +735,7 @@ class Scu:
                 [((opcode, backend), n) for _, opcode, backend, n in firsts]
             )
         return StageDispatch(
-            opcodes, backends, variants, key_of,
+            opcodes, backends, variants, picks, key_of,
             compute, memory, latency, fetch_compute, fetch_latency, fetch_start,
         )
 
@@ -704,7 +774,10 @@ class Scu:
         ``stats.fused_macros`` counts the macros.  Not offered in
         ``host_fallback`` mode — the host baseline has no SCU to fuse
         dispatches in, so plan executors fall back to the unfused
-        batched stream there.
+        batched stream there.  Plan executors charge fused batches
+        through :meth:`dispatch_stage_batch` with per-row decode flags;
+        this per-constituent form is the reference it is tested
+        against.
         """
         if self.host_fallback:
             raise IsaError("fused dispatch requires the SCU (sisa mode)")

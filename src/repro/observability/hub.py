@@ -146,8 +146,10 @@ class Observability:
         for (opcode, backend), n in counts:
             inc((opcode.name, backend), n)
 
-    def fused_macro(self) -> None:
-        self._fused.inc((self.tenant,))
+    def fused_macro(self, tenant: str | None = None, n: int = 1) -> None:
+        """Count ``n`` fused macros decoded for ``tenant`` (default: the
+        current context's)."""
+        self._fused.inc((self.tenant if tenant is None else tenant,), n)
 
     # ------------------------------------------------------------------
     # Kernel burst feeds (repro.runtime.context)
@@ -183,15 +185,27 @@ class Observability:
         every probe and frontier set size lands in the current tenant's
         Fig. 9b histogram."""
         self.spans.end(span, cycles=cycles)
+        self.observe_bursts(
+            self.tenant, self.workload, bursts, probe_sizes, frontier_sizes
+        )
+
+    def observe_bursts(
+        self, tenant: str, workload: str, bursts, probe_sizes, frontier_sizes
+    ) -> None:
+        """Feed instruction bursts of one ``(tenant, workload)`` as one
+        :meth:`kernel_end` per burst would, without a span: every
+        burst's modeled cycles (in issue order) into the cycle
+        histogram, and every probe and frontier set size into
+        ``tenant``'s Fig. 9b histogram."""
         observe = self._burst_cycles.observe
-        labels = (self.tenant, self.workload)
+        labels = (tenant, workload)
         for burst in bursts:
             observe(labels, burst)
         if not bursts:
             return
-        hist = self.set_sizes.get(self.tenant)
+        hist = self.set_sizes.get(tenant)
         if hist is None:
-            hist = self.set_sizes[self.tenant] = SetSizeHistogram()
+            hist = self.set_sizes[tenant] = SetSizeHistogram()
         hist.observe_many(probe_sizes)
         hist.observe_many(frontier_sizes)
 

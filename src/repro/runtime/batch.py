@@ -233,11 +233,33 @@ class StageLayout:
 
     def __init__(self, values: Sequence[VertexSet]):
         universe = values[0].universe if values else 0
-        arrays = []
+        arrays: list = []
         for v in values:
             if v.universe != universe:
                 raise SetError(f"universe mismatch: {universe} vs {v.universe}")
-            arrays.append(v.to_array())
+            arrays.append(None if type(v) is DenseBitvector else v.to_array())
+        dense = [i for i, a in enumerate(arrays) if a is None]
+        # Word offset of every DB's bitvector in ``words`` (-1: an SA).
+        self.word_base = np.full(len(arrays), -1, dtype=np.int64)
+        self.words = None
+        if dense:
+            words = np.stack([values[i].words for i in dense])
+            nwords = words.shape[1]
+            self.word_base[dense] = np.arange(len(dense)) * nwords
+            self.words = words.ravel()
+            # Every DB's elements from one bit unpack per block of rows.
+            step = max(1, (1 << 22) // max(universe, 1))
+            for b0 in range(0, len(dense), step):
+                bits = np.unpackbits(
+                    words[b0:b0 + step].view(np.uint8),
+                    axis=1,
+                    count=universe,
+                    bitorder="little",
+                )
+                rows, elems = np.nonzero(bits)
+                ends = np.cumsum(np.bincount(rows, minlength=bits.shape[0]))
+                for i, part in zip(dense[b0:b0 + step], np.split(elems, ends[:-1])):
+                    arrays[i] = part
         self.universe = universe
         self.cards = np.fromiter(
             (a.size for a in arrays), dtype=np.int64, count=len(arrays)
@@ -251,14 +273,6 @@ class StageLayout:
         )
         if arrays:
             self.keys += np.concatenate(arrays).astype(dtype, copy=False)
-        dense = [i for i, v in enumerate(values) if isinstance(v, DenseBitvector)]
-        # Word offset of every DB's bitvector in ``words`` (-1: an SA).
-        self.word_base = np.full(len(arrays), -1, dtype=np.int64)
-        self.words = None
-        if dense:
-            nwords = values[dense[0]].words.size
-            self.word_base[dense] = np.arange(len(dense)) * nwords
-            self.words = np.concatenate([values[i].words for i in dense])
 
 
 #: Work budget of one stage chunk, in probe elements: the stage executor

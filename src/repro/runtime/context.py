@@ -33,7 +33,7 @@ from repro.hw.cost import Cost
 from repro.hw.engine import EngineMark, EngineReport, ExecutionEngine
 from repro.isa.metadata import SetMetadataTable
 from repro.isa.opcodes import Opcode, SetOp
-from repro.isa.scu import DispatchStats, Scu, StageOperands
+from repro.isa.scu import DispatchStats, Scu, StageDispatch, StageOperands
 from repro.runtime import batch as batchmod
 from repro.runtime.trace import Trace, TraceEvent
 from repro.sets import kernels
@@ -49,6 +49,9 @@ MODES = ("sisa", "cpu-set")
 _STAGE_OP_WORK = 8
 _STAGE_TASK_WORK = 4
 
+#: Burst kinds by index (per-op kind codes of a mixed count pass).
+_KIND_INDEX = {"intersect": 0, "union": 1, "difference": 2}
+
 
 @dataclass(frozen=True)
 class ContextMark:
@@ -57,6 +60,19 @@ class ContextMark:
     engine: "EngineMark"
     stats: "DispatchStats"
     registrations: int
+
+
+@dataclass
+class CountPass:
+    """What one pass over count bursts returns: every op's count (row
+    after row), every row's lane, the SCU pass, and every op's operand
+    sizes."""
+
+    counts: np.ndarray
+    lanes: np.ndarray
+    dispatch: StageDispatch
+    size_a: np.ndarray
+    size_b: np.ndarray
 
 
 class SisaContext:
@@ -462,9 +478,10 @@ class SisaContext:
         charged to the *current* lane under the fused-dispatch rule of
         :meth:`repro.isa.scu.Scu.dispatch_binary_fused` (one macro
         decode per fused group, one probe-metadata lookup per
-        constituent).  Plan executors wrap each constituent in
-        :meth:`on_lane` so the charges land on the lane the unit's task
-        was placed on.
+        constituent).  Wrapped in :meth:`on_lane`, so the charges land
+        on the lane the unit's task was placed on, it is the per-unit
+        reference of the plan executor's fused batches, which run as
+        :meth:`count_pass` with macro-decode flags.
         """
         op = self._COUNT_OPS[kind]
         sm = self.sm
@@ -543,7 +560,6 @@ class SisaContext:
         pass (:meth:`~repro.isa.scu.Scu.dispatch_stage_batch`) and one
         engine pass (:meth:`~repro.hw.engine.ExecutionEngine.charge_tasks`).
         """
-        op = self._COUNT_OPS[kind]
         probes = np.asarray(probes, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         frontier = np.asarray(frontier, dtype=np.int64)
@@ -551,32 +567,9 @@ class SisaContext:
         counts = np.zeros(frontier.size, dtype=np.int64)
         if ntasks == 0:
             return counts
-        # Rank the stage's operand sets through a table over set ids
-        # (SM ids stay dense: freed ids are recycled).
-        used = np.zeros(max(probes.max(), frontier.max(initial=0)) + 1, dtype=bool)
-        used[probes] = True
-        used[frontier] = True
-        ids = np.flatnonzero(used)
-        rank_of = np.cumsum(used, dtype=np.int32)
-        rank_of -= 1
-        p_rank = rank_of[probes]
-        f_rank = rank_of[frontier]
-        del used, rank_of
-        operands = StageOperands(ids, self.sm.metas_of(ids.tolist()))
-        layout = batchmod.StageLayout(self.sm.values_of(ids.tolist()))
+        operands, layout, p_rank, f_rank = self._rank_operands(probes, frontier)
         cards = layout.cards
         k = np.diff(offsets)
-        scans = None
-        if scan:
-            # Scan cost components by probe size: (sizes, costs) rows.
-            sizes = np.unique(cards[p_rank])
-            scans = sizes, np.asarray(
-                [
-                    (c.compute_cycles, c.memory_bytes, c.latency_cycles)
-                    for c in map(self._scan_cost, sizes.tolist())
-                ],
-                dtype=np.float64,
-            )
         # Chunk boundaries: every task starts in the chunk its leading
         # cumulative work falls in, counting each probe element once
         # and each op and task as the few elements their bookkeeping
@@ -590,80 +583,228 @@ class SisaContext:
         ) // batchmod.STAGE_PROBE_BUDGET
         del work
         bounds = [0, *(np.flatnonzero(np.diff(chunk_of)) + 1).tolist(), ntasks]
+        obs = self.obs
         for t0, t1 in zip(bounds[:-1], bounds[1:]):
             o0, o1 = int(offsets[t0]), int(offsets[t1])
-            self._count_stage_chunk(
-                op, kind, operands, layout, p_rank[t0:t1],
-                offsets[t0:t1 + 1] - o0, f_rank[o0:o1],
-                scans,
-                fetch_cardinalities, counts[o0:o1],
+            chunk_probes = p_rank[t0:t1]
+            chunk_offsets = offsets[t0:t1 + 1] - o0
+            chunk_frontier = f_rank[o0:o1]
+            span = (
+                obs.kernel_start(f"{kind}_stage", o1 - o0)
+                if obs is not None
+                else None
             )
+            w0 = self.engine.work_cycles() if obs is not None else 0.0
+            done = self._count_ranked(
+                kind, operands, layout, chunk_probes, chunk_offsets,
+                chunk_frontier,
+                fetch=fetch_cardinalities,
+                seg_row=np.arange(t1 - t0),
+                seg_scan=cards[chunk_probes] if scan else None,
+            )
+            counts[o0:o1] = done.counts
+            if obs is not None:
+                obs.kernel_stage_end(
+                    span,
+                    self.engine.work_cycles() - w0,
+                    self.burst_cycles(done.dispatch, chunk_offsets),
+                    cards[chunk_probes[np.diff(chunk_offsets) > 0]].tolist(),
+                    cards[chunk_frontier].tolist(),
+                )
         return counts
 
-    def _count_stage_chunk(
-        self, op, kind, operands, layout, probes, offsets, frontier,
-        scans, fetch_cardinalities, out,
-    ) -> None:
-        """One chunk of :meth:`count_stage`: kernel, SCU pass, engine
-        pass, then the observation-only feeds; counts land in ``out``."""
-        obs = self.obs
-        engine = self.engine
-        span = (
-            obs.kernel_start(f"{kind}_stage", int(frontier.size))
-            if obs is not None
-            else None
+    def count_pass(
+        self,
+        kinds: list[str],
+        probes: np.ndarray,
+        offsets: np.ndarray,
+        frontier: np.ndarray,
+        *,
+        fetch: np.ndarray,
+        decode: np.ndarray | None,
+        seg_row: np.ndarray,
+        seg_task: np.ndarray,
+        seg_scan: np.ndarray,
+        seg_tenant: list,
+    ) -> CountPass:
+        """Execute a logged sequence of count bursts and task
+        placements — possibly of different kinds, stages and tenants,
+        interleaved — in one flat kernel call, one SCU pass and one
+        engine pass.
+
+        Row ``r`` is one burst: ``kinds[r]`` counts of the set
+        ``probes[r]`` against ``frontier[offsets[r]:offsets[r + 1]]``
+        (set ids), with ``fetch[r]`` followed by the cardinality
+        fetches of :meth:`count_stage`.  ``decode`` is ``None`` for
+        bursts dispatched op by op, or the per-row macro-decode flags
+        of fused-macro constituents (the charging rule of
+        :meth:`~repro.isa.scu.Scu.dispatch_binary_fused`).  Engine
+        segment ``s`` (the stream of :meth:`~repro.hw.engine.
+        ExecutionEngine.charge_tasks`) places a new task when
+        ``seg_task[s] < 0``, or charges the ``seg_task[s]``-th placed
+        task's lane; it first pays the scan of a set of
+        ``seg_scan[s]`` elements (``-1``: none), then row
+        ``seg_row[s]``'s ops and fetches (``-1``: none), mirrored into
+        the shadow lanes ``seg_tenant[s]``.
+
+        Everything modeled — lanes and task placement, tenant shadow
+        lanes, dispatch stats, SMB, decision memo and trace events —
+        ends exactly as issuing the same stream through ``begin_task``,
+        ``elements``, ``*_count_batch`` (or :meth:`fused_count_burst`
+        under :meth:`on_lane`) and ``cardinality`` would leave it.
+        Observability feeds, which are labeled by the rows' owners, are
+        the caller's (:meth:`burst_cycles`).
+        """
+        if len(set(kinds)) == 1:
+            kinds = kinds[0]
+        operands, layout, p_rank, f_rank = self._rank_operands(
+            probes, frontier
         )
-        w0 = engine.work_cycles() if obs is not None else 0.0
+        return self._count_ranked(
+            kinds, operands, layout, p_rank, offsets, f_rank,
+            fetch=fetch, decode=decode, seg_row=seg_row, seg_task=seg_task,
+            seg_scan=seg_scan, seg_tenant=seg_tenant, split_kernel=True,
+        )
+
+    def _rank_operands(self, probes: np.ndarray, frontier: np.ndarray):
+        """The operand sets of a pass, addressed by rank: their SM
+        entries, their flattened layout, and the ranks of ``probes``
+        and ``frontier`` (SM ids stay dense: freed ids are recycled)."""
+        used = np.zeros(
+            max(probes.max(initial=0), frontier.max(initial=0)) + 1, dtype=bool
+        )
+        used[probes] = True
+        used[frontier] = True
+        ids = np.flatnonzero(used)
+        rank_of = np.cumsum(used, dtype=np.int32)
+        rank_of -= 1
+        p_rank = rank_of[probes]
+        f_rank = rank_of[frontier]
+        del used, rank_of
+        id_list = ids.tolist()
+        operands = StageOperands(ids, self.sm.metas_of(id_list))
+        layout = batchmod.StageLayout(self.sm.values_of(id_list))
+        return operands, layout, p_rank, f_rank
+
+    def _count_ranked(
+        self, kinds, operands, layout, probes, offsets, frontier, *,
+        fetch, seg_row, decode=None, seg_task=None, seg_scan=None,
+        seg_tenant=None, split_kernel=False,
+    ) -> CountPass:
+        """The body of :meth:`count_stage` chunks and :meth:`count_pass`
+        over operand ranks: kernel, SCU pass, engine pass, trace.
+        ``kinds`` is one kind or one per row; ``seg_task=None`` makes
+        every segment a placement, ``seg_tenant=None`` mirrors into the
+        current tenant and ``split_kernel`` bounds each kernel call to
+        ~:data:`~repro.runtime.batch.STAGE_PROBE_BUDGET` probe work."""
+        engine = self.engine
         k = np.diff(offsets)
+        nops = int(frontier.size)
         a = np.repeat(probes, k)
         cards = layout.cards
-        inter = batchmod.stage_intersect_counts(layout, a, frontier)
-        out[:] = batchmod.derive_counts(kind, cards[a], cards[frontier], inter)
+        size_a = cards[a]
+        size_b = cards[frontier]
+        # -- kernel: one flat call, or one per STAGE_PROBE_BUDGET of
+        # probe work when the caller has not bounded the pass itself
+        cuts = []
+        if split_kernel:
+            work = np.minimum(size_a, size_b)
+            work += _STAGE_OP_WORK
+            cuts = (
+                np.flatnonzero(
+                    np.diff(np.cumsum(work) // batchmod.STAGE_PROBE_BUDGET)
+                ) + 1
+            ).tolist()
+            del work
+        inter = np.empty(nops, dtype=np.int64)
+        for lo, hi in zip([0, *cuts], [*cuts, nops]):
+            inter[lo:hi] = batchmod.stage_intersect_counts(
+                layout, a[lo:hi], frontier[lo:hi]
+            )
+        if isinstance(kinds, str):
+            op = self._COUNT_OPS[kinds]
+            counts = batchmod.derive_counts(kinds, size_a, size_b, inter)
+        else:
+            op = [self._COUNT_OPS[kind] for kind in kinds]
+            counts = inter.copy()
+            kind_of = np.repeat(
+                np.asarray([_KIND_INDEX[kind] for kind in kinds], dtype=np.int8),
+                k,
+            )
+            for kind in set(kinds) - {"intersect"}:
+                sel = kind_of == _KIND_INDEX[kind]
+                counts[sel] = batchmod.derive_counts(
+                    kind, size_a[sel], size_b[sel], inter[sel]
+                )
         sd = self.scu.dispatch_stage_batch(
             op, operands, probes, offsets, frontier,
-            fetch_cardinalities=fetch_cardinalities,
+            fetch_cardinalities=fetch, decode=decode,
         )
-        # Per task: [scan] + the burst's ops + the cardinality fetches.
-        lead = 0 if scans is None else 1
+        # -- engine: each segment [scan] + its row's ops + fetches -----
         fetched = np.diff(sd.fetch_offsets)
-        task_start = np.zeros(k.size + 1, dtype=np.int64)
-        np.cumsum(lead + k + fetched, out=task_start[1:])
-        size = int(task_start[-1])
+        nseg = seg_row.size
+        has_row = seg_row >= 0
+        row_seg = np.zeros(k.size, dtype=np.int64)
+        row_seg[seg_row[has_row]] = np.flatnonzero(has_row)
+        lead = (
+            np.zeros(nseg, dtype=np.int64)
+            if seg_scan is None
+            else (seg_scan >= 0).astype(np.int64)
+        )
+        seg_len = lead.copy()
+        seg_len[has_row] += (k + fetched)[seg_row[has_row]]
+        seg_start = np.zeros(nseg + 1, dtype=np.int64)
+        np.cumsum(seg_len, out=seg_start[1:])
+        size = int(seg_start[-1])
         compute = np.zeros(size)
         memory = np.zeros(size)
         latency = np.zeros(size)
-        if scans is not None:
-            sizes, costs = scans
-            scan = costs[np.searchsorted(sizes, cards[probes])]
-            heads = task_start[:-1]
+        if seg_scan is not None and lead.any():
+            scanned = seg_scan[lead > 0]
+            sizes, inverse = np.unique(scanned, return_inverse=True)
+            scan = np.asarray(
+                [
+                    (c.compute_cycles, c.memory_bytes, c.latency_cycles)
+                    for c in map(self._scan_cost, sizes.tolist())
+                ],
+                dtype=np.float64,
+            )[inverse.ravel()]
+            heads = seg_start[:-1][lead > 0]
             compute[heads] = scan[:, 0]
             memory[heads] = scan[:, 1]
             latency[heads] = scan[:, 2]
-        op_pos = np.repeat(task_start[:-1] + lead - offsets[:-1], k)
-        op_pos += np.arange(frontier.size, dtype=np.int64)
+        base = seg_start[row_seg] + lead[row_seg]
+        op_pos = np.repeat(base - offsets[:-1], k)
+        op_pos += np.arange(nops, dtype=np.int64)
         compute[op_pos] = sd.compute
         memory[op_pos] = sd.memory
         latency[op_pos] = sd.latency
         fetch_start = sd.fetch_offsets
-        fetch_pos = np.repeat(task_start[:-1] + lead + k - fetch_start[:-1], fetched)
+        fetch_pos = np.repeat(base + k - fetch_start[:-1], fetched)
         fetch_pos += np.arange(int(fetch_start[-1]), dtype=np.int64)
         compute[fetch_pos] = sd.fetch_compute
         latency[fetch_pos] = sd.fetch_latency
-        lanes = engine.charge_tasks(
-            task_start.tolist(), compute.tolist(), memory.tolist(), latency.tolist()
+        placed = engine.charge_tasks(
+            seg_start.tolist(), compute.tolist(), memory.tolist(),
+            latency.tolist(),
+            tasks=None if seg_task is None else seg_task.tolist(),
+            tenants=seg_tenant,
         )
-        if lanes:
-            self._current_lane = lanes[-1]
-        if obs is not None:
-            self._observe_stage_chunk(
-                span, engine.work_cycles() - w0, sd, offsets,
-                cards[probes], cards[frontier],
-            )
+        if placed:
+            self._current_lane = placed[-1]
+        placed_lanes = np.asarray(placed, dtype=np.int64)
+        if seg_task is None:
+            seg_lane = placed_lanes
+        else:
+            place_idx = np.cumsum(seg_task < 0) - 1
+            seg_lane = placed_lanes[np.where(seg_task < 0, place_idx, seg_task)]
+        row_lanes = seg_lane[row_seg]
         if self.trace.enabled:
             key_of = sd.key_of.tolist()
-            op_lanes = np.repeat(lanes, k).tolist()
-            sizes_a = cards[a].tolist()
-            sizes_b = cards[frontier].tolist()
+            op_lanes = np.repeat(row_lanes, k).tolist()
+            sizes_a = size_a.tolist()
+            sizes_b = size_b.tolist()
+            outs = counts.tolist()
             record = self.trace.record
             for i, kk in enumerate(key_of):
                 record(
@@ -672,38 +813,27 @@ class SisaContext:
                         lane=op_lanes[i],
                         size_a=sizes_a[i],
                         size_b=sizes_b[i],
-                        output_size=int(out[i]),
+                        output_size=outs[i],
                         backend=sd.backends[kk],
                         variant=sd.variants[kk],
                     )
                 )
+        return CountPass(counts, row_lanes, sd, size_a, size_b)
 
-    def _observe_stage_chunk(
-        self, span, cycles, sd, offsets, sizes_a, sizes_b
-    ) -> None:
-        """Observability feeds of one stage chunk: its kernel span with
-        the chunk's exact modeled work, plus every non-empty burst's
-        modeled cycles and set sizes as per-burst ``kernel_end`` calls
-        would have fed them."""
-        obs = self.obs
-        if obs is None:
-            return
+    def burst_cycles(self, sd: StageDispatch, offsets: np.ndarray) -> list[float]:
+        """The modeled cycles of every non-empty row of an SCU pass, as
+        a per-burst ``kernel_end`` computes them (ops only, fetches
+        excluded)."""
         bpc = self.engine.bytes_per_cycle
         compute = sd.compute.tolist()
         memory = sd.memory.tolist()
         latency = sd.latency.tolist()
         bounds = offsets.tolist()
-        bursts = []
-        probe_sizes = []
-        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if hi > lo:
-                bursts.append(
-                    sum(compute[lo:hi])
-                    + sum(latency[lo:hi])
-                    + sum(memory[lo:hi]) / bpc
-                )
-                probe_sizes.append(int(sizes_a[t]))
-        obs.kernel_stage_end(span, cycles, bursts, probe_sizes, sizes_b.tolist())
+        return [
+            sum(compute[lo:hi]) + sum(latency[lo:hi]) + sum(memory[lo:hi]) / bpc
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
 
     def intersect_many(self, *set_ids: int) -> int:
         """CISC-style multi-set intersection ``A1 ∩ ... ∩ Al`` in one

@@ -9,7 +9,8 @@ about to run.  The plan/execute split introduces that visibility:
   structures the workload reads (undirected SetGraph, orientation,
   degeneracy order) and, for the count-form workloads, declaring the
   per-task frontier bursts as one flat :class:`BurstTable` per stage
-  (from which the schedulable :class:`BurstUnit` stream is derived).
+  (from which the :class:`BurstUnit` stream the dynamic contract
+  checker consumes is derived).
   A plan pins the session's stream version at compile time and fails
   fast (:class:`~repro.errors.SisaError`) if the stream drifted before
   execution.
@@ -29,24 +30,43 @@ about to run.  The plan/execute split introduces that visibility:
     whose ``(workload, params, version)`` key another plan in the
     batch owns simply waits and reuses the value), and
   - fuses compatible count-form frontier bursts from *different* plans
-    into shared macro dispatches
-    (:meth:`~repro.runtime.context.SisaContext.fused_count_burst`) —
-    the first crossing of the ``begin_task`` boundary.
+    into shared macro dispatches (the charging rule of
+    :meth:`~repro.isa.scu.Scu.dispatch_binary_fused`) — the first
+    crossing of the ``begin_task`` boundary.
 
 Fusion lane-placement rule (the explicit contract the ROADMAP's
 "cross-task batching" item asked for): every constituent burst still
-opens its own task at unit-creation time and its per-op model costs
+opens its own task when its unit is pulled, and its per-op model costs
 land on that task's lane, exactly as unfused; what the macro elides is
 the per-op SCU decode and the per-op probe-metadata fetch — the macro
 decode is charged once, to the lane (and tenant) of the macro's first
 constituent, and each constituent's probe lookup once, to its own
 lane.  Burst fusion is an SCU capability: on the ``cpu-set`` host
-baseline the executor falls back to the unfused batched stream
-(prep sharing and dedup still apply).
+baseline the executor runs the unfused batched stream (prep sharing
+and dedup still apply), as does certified-schedule replay.
 
-Per-plan accounting under fusion uses the engine's per-tenant marks
-(:meth:`~repro.hw.engine.ExecutionEngine.set_tenant`): every execution
-slice is attributed to its owning plan, so each
+The batch driver does not execute units as it pulls them; it logs
+them.  A pulled unit logs the placement of its run's tasks (with their
+scan charges) and its burst; fused, the burst waits in a buffer of at
+most ``fuse_width`` constituents, and a full buffer logs a macro
+boundary.  The log executes only at the *sync points*, where the
+per-unit stream drains its buffer: a run's bursts stage exhausting, a
+call stage starting, the deadlock drain and the end of the batch.
+There it runs as one
+:meth:`~repro.runtime.context.SisaContext.count_pass` — one flat
+kernel call, one SCU pass, one engine pass in which each task's
+placement and each burst's charges keep their place in the event
+stream — and the per-plan counts, dispatch stats and observability
+feeds are attributed back to the owning runs.  Outputs and every piece
+of modeled state are those of executing unit by unit (property-tested
+against that stream).  A batch failing mid-way first executes what
+that stream had executed: every pull and every closed macro, not the
+open one.
+
+Per-plan accounting under fusion uses the engine's per-tenant shadow
+lanes (:meth:`~repro.hw.engine.ExecutionEngine.set_tenant` around a
+call stage, one shadow-lane list per segment of a log's engine pass):
+every charge is attributed to its owning plan, so each
 :class:`~repro.session.result.RunResult` still reports its own cycles,
 instruction stats and registrations even though the instruction
 streams interleave.
@@ -68,6 +88,8 @@ from repro.errors import (
     ReproError,
     SisaError,
 )
+from repro.isa.opcodes import Opcode
+from repro.isa.scu import DispatchStats
 from repro.serving.validation import validate_request
 from repro.session.cache import canonical_param, isolate_output
 from repro.session.registry import WorkloadSpec
@@ -83,11 +105,14 @@ class BurstUnit:
     Produced lazily by a burst stage's generator — for table-declared
     stages, the generic adapter :func:`table_units` — which has already
     opened the unit's task (``lane``) and paid any charged pre-work
-    (e.g. the neighborhood iterator).  The executor runs the burst —
-    unfused via ``*_count_batch`` or as a fused-macro constituent — and
-    hands the counts to ``sink``, which performs the remaining charged
-    work of the task (e.g. cardinality fetches) and folds the counts
-    into the stage state.
+    (e.g. the neighborhood iterator).  The consumer runs the burst
+    (``*_count_batch``) and hands the counts to ``sink``, which
+    performs the remaining charged work of the task (e.g. cardinality
+    fetches) and folds the counts into the stage state.  Only the
+    dynamic contract checker
+    (:func:`~repro.analysis.static.dynamic.check_plan_dynamic`)
+    consumes units; every executor runs a bursts stage through its
+    :class:`BurstTable`.
     """
 
     a: int
@@ -141,9 +166,8 @@ class BurstTable:
 
 def table_units(table: BurstTable, ctx, state: dict, writes: tuple[str, ...]):
     """The generic adapter from a :class:`BurstTable` to the
-    :class:`BurstUnit` stream the fused, scheduled and dynamic-checker
-    executors consume: unit for unit, charge for charge, the stream of
-    :meth:`BurstTable.execute`.  Each unit's sink pays its cardinality
+    :class:`BurstUnit` stream the dynamic checker consumes: unit for
+    unit, charge for charge, the stream of :meth:`BurstTable.execute`.  Each unit's sink pays its cardinality
     fetches and parks its counts; the last sink runs ``reduce`` (a
     table with no bursts reduces once every task has opened)."""
     offsets = table.offsets.tolist()
@@ -197,16 +221,18 @@ class PlanStage:
     ``clustering_coefficient``).
 
     A bursts stage declares its work as ``table(session, state) ->
-    BurstTable``: flat arrays the sequential executor runs as one whole
-    stage, and from which ``units`` is derived by the generic adapter
-    :func:`table_units` for the fused, scheduled and dynamic-checker
-    executors.  A stage given only ``units`` can be fused, replayed or
-    checked dynamically, but not run sequentially.
+    BurstTable``: flat arrays every executor runs — the sequential one
+    as one whole stage, the batch driver (fused or certified-schedule
+    replay) through its burst log — and from which ``units`` is
+    derived by the generic adapter :func:`table_units` for the dynamic
+    contract checker.  A stage given only ``units`` can be checked
+    dynamically, but not executed: executors reject it with
+    :class:`~repro.errors.ConfigError`.
 
     Burst-generator contract: producing a unit may open its task and
     charge engine costs (``begin_task``, the neighborhood iterator) but
     must not dispatch SISA instructions or register sets — those belong
-    in the burst itself and its ``sink``, whose execution the fused
+    in the burst itself and its ``sink``, whose execution a fused
     scheduler defers (generation may run ahead of earlier units'
     sinks, so it must not depend on their effects either).
 
@@ -396,17 +422,300 @@ class _PlanRun:
         self.warm = False
         self.cached = False
         self.output: Any = None
+        # Dedup keys are computed once (the plan's on first start, a
+        # stage's when the stage is first reached); ``waiting`` marks a
+        # run blocked on a key another run owns, which then re-polls
+        # only the batch's published values.
+        self.key_ready = False
         self.cache_key: tuple | None = None
-        self.owns_key = False
-        self.gen: Iterator[BurstUnit] | None = None
+        self.stage_key: tuple | None = None
+        self.waiting = False
+        self.in_stage = False
         self.stats = None  # DispatchStats accumulator (set on start)
         self.registrations = 0
+        # The current bursts stage: its table (and its arrays as
+        # lists), the tasks with a non-empty burst, how many of those
+        # were pulled and how many tasks were placed, the probe sizes
+        # (the scan charges) and the counts the log's passes fill in.
+        self.table: BurstTable | None = None
+        self.probes: list[int] = []
+        self.offsets: list[int] = []
+        self.frontier: list[int] = []
+        self.bursts: list[int] = []
+        self.pulled = 0
+        self.placed = 0
+        self.scan_sizes: list[int] | None = None
+        self.counts: np.ndarray | None = None
         # Observability (None when disabled): the plan's detached span,
         # the currently-open stage span, and the tenant-work reading at
         # the stage's start (for the stage span's cycle delta).
         self.span = None
         self.stage_span = None
         self.stage_w0 = 0.0
+
+
+class _BurstLog:
+    """The batch driver's record of the count bursts and task
+    placements it pulled since the last sync point.
+
+    A pulled unit logs the placement of its run's tasks up to and
+    including its own (tasks with an empty frontier are placed and
+    scanned too) and its burst.  Fused, the burst waits in a buffer of
+    at most ``fuse_width`` constituents; a full buffer — or a sync
+    point — is a macro boundary, where the buffered bursts execute as
+    fused macros (one per maximal same-kind group, its first
+    constituent carrying the macro decode) on the lanes their tasks
+    were placed on.  Unfused, each burst executes right after its pull,
+    dispatched op by op.  :meth:`run` executes everything logged in one
+    :meth:`~repro.runtime.context.SisaContext.count_pass` — one kernel
+    call, one SCU pass, one engine pass — and attributes it to the
+    owning runs: counts, dispatch stats, observability feeds.
+    """
+
+    def __init__(self, session, *, fused: bool, fuse_width: int):
+        self.session = session
+        self.fused = fused
+        self.fuse_width = fuse_width
+        self._clear()
+
+    def _clear(self) -> None:
+        # Engine segments: each places a task (seg_task -1) or charges
+        # the lane of the seg_task-th task placed in this log, paying a
+        # scan (seg_scan: the set's size, -1: none) and then a row's
+        # burst (seg_row, -1: none) for seg_run's tenant.
+        self.seg_task: list[int] = []
+        self.seg_row: list[int] = []
+        self.seg_scan: list[int] = []
+        self.seg_run: list[_PlanRun] = []
+        self.rows: list[tuple[_PlanRun, int]] = []  # (run, task) bursts
+        self.decode: list[bool] = []  # fused: the row decodes its macro
+        self.buffer: list[tuple[_PlanRun, int, int]] = []
+        self.placed = 0
+
+    @property
+    def buffered(self) -> bool:
+        return bool(self.buffer)
+
+    def pull(self, run: _PlanRun) -> bool:
+        """Log ``run``'s next unit; at the end of its table, log the
+        placement of its remaining (empty) tasks and return False."""
+        if run.pulled == len(run.bursts):
+            self._place(run, len(run.table.probes))
+            return False
+        t = run.bursts[run.pulled]
+        run.pulled += 1
+        self._place(run, t + 1)
+        if self.fused:
+            self.buffer.append((run, t, self.placed - 1))
+            if len(self.buffer) >= self.fuse_width:
+                self.flush()
+        else:
+            self.seg_row[-1] = len(self.rows)
+            self.rows.append((run, t))
+            self._context(run)
+        return True
+
+    def _place(self, run: _PlanRun, hi: int) -> None:
+        lo = run.placed
+        n = hi - lo
+        if n <= 0:
+            return
+        run.placed = hi
+        self.placed += n
+        self.seg_task.extend([-1] * n)
+        self.seg_row.extend([-1] * n)
+        self.seg_run.extend([run] * n)
+        if run.scan_sizes is None:
+            self.seg_scan.extend([-1] * n)
+        else:
+            self.seg_scan.extend(run.scan_sizes[lo:hi])
+
+    def flush(self) -> None:
+        """A macro boundary: the buffered bursts execute as fused
+        macros, in pull order, each on its own task's lane."""
+        buffer = self.buffer
+        if not buffer:
+            return
+        kind = None
+        for run, t, idx in buffer:
+            self.decode.append(run.table.kind != kind)
+            kind = run.table.kind
+            self.seg_task.append(idx)
+            self.seg_row.append(len(self.rows))
+            self.seg_scan.append(-1)
+            self.seg_run.append(run)
+            self.rows.append((run, t))
+        self._context(buffer[-1][0])
+        buffer.clear()
+
+    def _context(self, run: _PlanRun) -> None:
+        """Leave the hub's attribution context where executing the
+        bursts slice by slice would (the last slice's plan)."""
+        obs = getattr(self.session, "obs", None)
+        if obs is not None:
+            obs.set_context(run.plan.tenant or "default", run.plan.name)
+
+    def run(self) -> None:
+        """Execute the log up to the last macro boundary — every logged
+        placement, every flushed burst; unflushed bursts are dropped —
+        and start a new one."""
+        seg_task, seg_row, seg_scan = self.seg_task, self.seg_row, self.seg_scan
+        seg_run, rows, decode = self.seg_run, self.rows, self.decode
+        self._clear()
+        if not seg_task:
+            return
+        session = self.session
+        ctx = session.ctx
+        obs = getattr(session, "obs", None)
+        probes = []
+        sizes = [0]
+        frontier: list[int] = []
+        ops: dict[_PlanRun, int] = {}
+        for run, t in rows:
+            lo, hi = run.offsets[t], run.offsets[t + 1]
+            probes.append(run.probes[t])
+            sizes.append(hi - lo)
+            frontier.extend(run.frontier[lo:hi])
+            ops[run] = ops.get(run, 0) + hi - lo
+        offsets = np.cumsum(sizes, dtype=np.int64)
+        spans = {}
+        if obs is not None:
+            name = "kernel:fused_{}" if self.fused else "kernel:{}_count"
+            for run, n in ops.items():
+                spans[run] = obs.spans.start_detached(
+                    name.format(run.table.kind),
+                    run.stage_span or run.span,
+                    {"ops": n},
+                )
+        shadow = {
+            run: ctx.engine.tenant_lanes(run.tag) for run in dict.fromkeys(seg_run)
+        }
+        result = ctx.count_pass(
+            [run.table.kind for run, __ in rows],
+            np.asarray(probes, dtype=np.int64),
+            offsets,
+            np.asarray(frontier, dtype=np.int64),
+            fetch=np.asarray(
+                [run.table.fetch_cardinalities for run, __ in rows], dtype=bool
+            ),
+            decode=np.asarray(decode, dtype=bool) if self.fused else None,
+            seg_row=np.asarray(seg_row, dtype=np.int64),
+            seg_task=np.asarray(seg_task, dtype=np.int64),
+            seg_scan=np.asarray(seg_scan, dtype=np.int64),
+            seg_tenant=[shadow[run] for run in seg_run],
+        )
+        counts = result.counts
+        bounds = offsets.tolist()
+        for (run, t), lo, hi in zip(rows, bounds[:-1], bounds[1:]):
+            start = run.offsets[t]
+            run.counts[start:start + hi - lo] = counts[lo:hi]
+        owners = list(ops)
+        self._attribute(owners, rows, offsets, result.dispatch, decode)
+        self._observe(rows, offsets, result, decode, spans)
+
+    def _attribute(self, owners, rows, offsets, sd, decode) -> None:
+        """Add every owner's share of the pass to its dispatch stats, as
+        per-constituent stat snapshots would have: new ``by_opcode``
+        keys in order of the first constituent using them, and of the
+        global key order within one constituent."""
+        stats = self.session.ctx.scu.stats
+        k = np.diff(offsets)
+        fetched = np.diff(sd.fetch_offsets)
+        slot = {run: i for i, run in enumerate(owners)}
+        row_owner = np.fromiter((slot[run] for run, __ in rows), np.int64, len(rows))
+        nkeys = len(sd.opcodes)
+        # Opcode ids: the pass's opcodes, CARDINALITY last.
+        opcodes = list(dict.fromkeys([*sd.opcodes, Opcode.CARDINALITY]))
+        op_id = np.fromiter(
+            (opcodes.index(op) for op in sd.opcodes), np.int64, nkeys
+        )
+        nop = len(opcodes)
+        card_id = opcodes.index(Opcode.CARDINALITY)
+        op_row = np.repeat(np.arange(len(rows)), k)
+        # (owner, opcode) -> op count and first row, ops then fetches.
+        pair = np.concatenate(
+            [
+                row_owner[op_row] * nop + op_id[sd.key_of],
+                (row_owner * nop + card_id)[fetched > 0],
+            ]
+        )
+        pair_row = np.concatenate([op_row, np.flatnonzero(fetched > 0)])
+        weight = np.concatenate(
+            [np.ones(op_row.size, dtype=np.int64), fetched[fetched > 0]]
+        )
+        n_of = np.bincount(pair, weights=weight, minlength=len(owners) * nop)
+        first_row = np.full(len(owners) * nop, len(rows), dtype=np.int64)
+        np.minimum.at(first_row, pair, pair_row)
+        gpos = {op: i for i, op in enumerate(stats.by_opcode)}
+        per_key = np.zeros((len(owners), nkeys), dtype=np.int64)
+        np.add.at(per_key, (row_owner[op_row], sd.key_of), 1)
+        fused_rows = np.bincount(
+            row_owner[np.asarray(decode, dtype=bool)] if decode else row_owner[:0],
+            minlength=len(owners),
+        )
+        nfetch = np.bincount(row_owner, weights=fetched, minlength=len(owners))
+        for i, run in enumerate(owners):
+            delta = DispatchStats(
+                instructions=int(per_key[i].sum() + nfetch[i]),
+                fused_macros=int(fused_rows[i]),
+            )
+            for kk, n in enumerate(per_key[i].tolist()):
+                if not n:
+                    continue
+                backend = sd.backends[kk]
+                if backend == "pum":
+                    delta.pum_ops += n
+                elif backend == "pnm":
+                    delta.pnm_ops += n
+                else:
+                    delta.host_ops += n
+                if sd.picks[kk] == 1:
+                    delta.merge_picks += n
+                elif sd.picks[kk] == 2:
+                    delta.gallop_picks += n
+            used = [
+                (int(first_row[i * nop + j]), gpos[op], op, int(n_of[i * nop + j]))
+                for j, op in enumerate(opcodes)
+                if n_of[i * nop + j]
+            ]
+            used.sort(key=lambda item: item[:2])
+            delta.by_opcode = {op: n for __, __, op, n in used}
+            run.stats.add(delta)
+
+    def _observe(self, rows, offsets, result, decode, spans) -> None:
+        """The observability feeds of a pass, labeled by each row's
+        plan as per-constituent slices would have labeled them: burst
+        histograms and Fig. 9b set sizes, fused macros per tenant, and
+        one kernel span per owner carrying its bursts' modeled
+        cycles."""
+        obs = getattr(self.session, "obs", None)
+        if obs is None:
+            return
+        cycles = self.session.ctx.burst_cycles(result.dispatch, offsets)
+        bounds = offsets.tolist()
+        size_a = result.size_a.tolist()
+        size_b = result.size_b.tolist()
+        groups: dict[tuple, list[int]] = {}
+        macros: dict[str, int] = {}
+        total: dict[_PlanRun, float] = {}
+        for r, (run, __) in enumerate(rows):
+            tenant = run.plan.tenant or "default"
+            groups.setdefault((tenant, run.plan.name), []).append(r)
+            if decode and decode[r]:
+                macros[tenant] = macros.get(tenant, 0) + 1
+            total[run] = total.get(run, 0) + cycles[r]
+        for (tenant, workload), members in groups.items():
+            obs.observe_bursts(
+                tenant,
+                workload,
+                [cycles[r] for r in members],
+                [size_a[bounds[r]] for r in members],
+                [s for r in members for s in size_b[bounds[r]:bounds[r + 1]]],
+            )
+        for tenant, n in macros.items():
+            obs.fused_macro(tenant, n)
+        for run, span in spans.items():
+            obs.spans.end(span, cycles=total[run])
 
 
 class PlanExecutor:
@@ -691,8 +1000,7 @@ class PlanExecutor:
         With observability on, the slice also switches the hub's
         tenant/workload context and re-enters the run's open span, so
         kernel-level feeds issued during the slice label and nest under
-        the owning plan even when slices of different plans interleave
-        (``_flush`` executing deferred units of another run)."""
+        the owning plan even when slices of different plans interleave."""
         ctx = self.session.ctx
         obs = getattr(self.session, "obs", None)
         span = None
@@ -713,20 +1021,6 @@ class PlanExecutor:
             if span is not None:
                 obs.spans.exit(span)
 
-    @contextmanager
-    def _attribute(self, run: _PlanRun):
-        """Cycle-only attribution for slices that cannot dispatch SISA
-        instructions — the per-unit generator pulls (``begin_task`` +
-        neighborhood iterator charge the engine but record no stats and
-        register no sets), where a full stats snapshot per vertex would
-        dominate the fused path's Python time."""
-        engine = self.session.ctx.engine
-        engine.set_tenant(run.tag)
-        try:
-            yield
-        finally:
-            engine.set_tenant(None)
-
     def _execute_batch(self, plans: list[WorkloadPlan]) -> list[RunResult]:
         """The one batch loop behind fused and certified-schedule
         execution: both step the same per-plan :meth:`_advance` state
@@ -742,8 +1036,6 @@ class PlanExecutor:
         cache-key owner publishes before a follower starts, so any
         topological order is output-identical (the certifier's core
         claim, property-tested)."""
-        from repro.isa.scu import DispatchStats
-
         session = self.session
         engine = session.ctx.engine
         obs = getattr(session, "obs", None)
@@ -752,6 +1044,9 @@ class PlanExecutor:
         # current at batch entry (a pool's session span, usually); the
         # recorder re-enters them slice by slice via _slice.
         self._span_parent = rec.current if rec is not None else None
+        self._log = _BurstLog(
+            session, fused=self._fuse_bursts, fuse_width=self.fuse_width
+        )
         runs = []
         for i, plan in enumerate(plans):
             run = _PlanRun(plan, ("plan", i, plan.name))
@@ -764,8 +1059,11 @@ class PlanExecutor:
                 for node_id in self.schedule.order:
                     self._replay_node(runs, node_id)
         except BaseException:
-            # A failed batch must not leak per-plan shadow lanes into
-            # the long-lived engine (pool callers retry batches).
+            # The work the per-unit stream had executed when the
+            # exception struck still charges the machine; a failed
+            # batch must not leak per-plan shadow lanes into the
+            # long-lived engine (pool callers retry batches).
+            self._abort()
             for run in runs:
                 engine.drop_tenant(run.tag)
             raise
@@ -806,26 +1104,23 @@ class PlanExecutor:
         return results
 
     def _drive_fused(self, runs: list[_PlanRun]) -> None:
-        """Advance every run one step per round until all finish,
-        flushing buffered bursts as fused macros."""
-        buffer: list[tuple[BurstUnit, _PlanRun]] = []
+        """Advance every run one step per round until all finish; the
+        pulled bursts execute at the sync points."""
         pending = list(runs)
         while pending:
             progressed = False
             still = []
             for run in pending:
-                progressed |= self._advance(run, buffer)
+                progressed |= self._advance(run)
                 if not run.finished:
                     still.append(run)
             pending = still
             if pending and not progressed:
-                # Every remaining run waits on a key whose owner sits
-                # in the buffer: drain it so owners can publish.
-                if buffer:
-                    self._flush(buffer)
-                else:  # pragma: no cover - ownership chains are acyclic
+                # Every remaining run waits on a key whose owner has
+                # buffered bursts: drain them so owners can publish.
+                if not self._drain():  # pragma: no cover - acyclic ownership
                     raise SisaError("plan batch deadlocked on dedup keys")
-        self._flush(buffer)
+        self._sync()
 
     def _replay_node(self, runs: list[_PlanRun], node_id: int) -> None:
         """Run one schedule node — one whole stage of one plan — and
@@ -854,10 +1149,11 @@ class PlanExecutor:
         first if needed, finishing it after its last stage).  A
         whole-plan cache hit at start finishes the run, which makes
         every later node of the plan a zero-cost skip.  Burst fusion is
-        off under a schedule, so no unit is ever buffered."""
+        off under a schedule, so each burst runs right after its pull
+        and the stage's end syncs it."""
         stage_idx = run.stage_idx
         while not run.finished and run.stage_idx == stage_idx:
-            if not self._advance(run, []):  # pragma: no cover - dedup edges
+            if not self._advance(run):  # pragma: no cover - dedup edges
                 raise SisaError(
                     "certified schedule ordered a follower before its "
                     "dedup owner published; the dependency DAG is wrong"
@@ -867,17 +1163,30 @@ class PlanExecutor:
 
     # -- key lookup ----------------------------------------------------
 
-    def _lookup(self, key: tuple):
-        """Resolve a dedup key against the batch map and the session's
-        result cache.  Returns ``(found, value)``."""
+    def _lookup(self, run: _PlanRun, key: tuple):
+        """Resolve a dedup key against the batch map and — unless the
+        run already found another run owning it — the session's result
+        cache.  Returns ``(found, value)``."""
         if key in self._done:
             return True, isolate_output(self._done[key])
         session = self.session
-        if session.config.result_cache:
+        if not run.waiting and session.config.result_cache:
             hit = session._results.get(key)
             if hit is not None:
                 return True, hit[0]
         return False, None
+
+    def _claim(self, run: _PlanRun, key: tuple) -> bool:
+        """Own ``key`` for ``run``, or mark it waiting (and return
+        False) while another run owns it: an owner publishes into the
+        batch map, so a waiting run re-polls only that."""
+        owner = self._owners.get(key)
+        if owner is not None and owner is not run:
+            run.waiting = True
+            return False
+        run.waiting = False
+        self._owners[key] = run
+        return True
 
     def _publish(self, key: tuple, value: Any) -> None:
         self._done[key] = isolate_output(value)
@@ -892,7 +1201,7 @@ class PlanExecutor:
 
     # -- one scheduling step -------------------------------------------
 
-    def _advance(self, run: _PlanRun, buffer) -> bool:
+    def _advance(self, run: _PlanRun) -> bool:
         """Advance one run by one step; returns False when blocked on a
         key another run owns."""
         plan = run.plan
@@ -903,9 +1212,9 @@ class PlanExecutor:
             return True
         stage = plan.stages[run.stage_idx]
         if stage.kind == "call":
-            # Call stages may register/release sets; drain deferred
-            # bursts first so no unit observes mutated SM state.
-            self._flush(buffer)
+            # Call stages may register/release sets: run the logged
+            # bursts first so none observes mutated SM state.
+            self._sync()
             self._inject(plan, stage.label)
             obs = getattr(self.session, "obs", None)
             if obs is not None:
@@ -926,7 +1235,7 @@ class PlanExecutor:
                 run.stage_span = None
             run.stage_idx += 1
             return True
-        return self._advance_bursts(run, stage, buffer)
+        return self._advance_bursts(run, stage)
 
     def _start(self, run: _PlanRun) -> bool:
         session = self.session
@@ -941,12 +1250,14 @@ class PlanExecutor:
                     "version": str(plan.version),
                 },
             )
-        key = session._results.make_key(
-            plan.name, plan.cache_params, plan.version
-        )
-        run.cache_key = key
+        if not run.key_ready:
+            run.cache_key = session._results.make_key(
+                plan.name, plan.cache_params, plan.version
+            )
+            run.key_ready = True
+        key = run.cache_key
         if key is not None:
-            found, value = self._lookup(key)
+            found, value = self._lookup(run, key)
             if found:
                 run.output = value
                 run.cached = True
@@ -956,34 +1267,32 @@ class PlanExecutor:
                 if obs is not None:
                     obs.spans.end(run.span, cycles=0.0)
                 return True
-            owner = self._owners.get(key)
-            if owner is not None and owner is not run:
+            if not self._claim(run, key):
                 return False  # an identical plan is already executing
-            self._owners[key] = run
-            run.owns_key = True
         run.warm = session._is_warm(plan.spec, None, plan.params)
         run.started = True
         return True
 
-    def _advance_bursts(self, run: _PlanRun, stage: PlanStage, buffer) -> bool:
+    def _advance_bursts(self, run: _PlanRun, stage: PlanStage) -> bool:
         obs = getattr(self.session, "obs", None)
-        key = self._stage_key(stage, run.plan)
-        if run.gen is None:
+        if not run.in_stage:
+            if not run.waiting:
+                run.stage_key = self._stage_key(stage, run.plan)
+            key = run.stage_key
             if key is not None:
-                found, value = self._lookup(key)
+                found, value = self._lookup(run, key)
                 if found:
                     # Sub-request dedup: install the shared value with
                     # zero instructions issued.
+                    run.waiting = False
                     stage.seed(run.state, value)
                     run.value = stage.result(run.state)
                     run.stage_idx += 1
                     if obs is not None:
                         obs.dedup(run.plan.name)
                     return True
-                owner = self._owners.get(key)
-                if owner is not None and owner is not run:
+                if not self._claim(run, key):
                     return False
-                self._owners[key] = run
             self._inject(run.plan, stage.label)
             if obs is not None:
                 run.stage_span = obs.spans.start_detached(
@@ -992,40 +1301,26 @@ class PlanExecutor:
                 run.stage_w0 = self.session.ctx.engine.tenant_work_cycles(
                     run.tag
                 )
-            with self._attribute(run):
-                run.gen = stage.units(self.session, run.state)
-        with self._attribute(run):
-            unit = next(run.gen, None)
-        if unit is None:
-            # Generator exhausted: drain deferred units so the stage
-            # value is complete, then publish it.
-            self._flush(buffer)
-            run.gen = None
-            run.value = stage.result(run.state)
-            if key is not None:
-                self._publish(key, run.value)
-            run.stage_idx += 1
-            if obs is not None and run.stage_span is not None:
-                obs.spans.end(
-                    run.stage_span,
-                    cycles=self.session.ctx.engine.tenant_work_cycles(run.tag)
-                    - run.stage_w0,
-                )
-                run.stage_span = None
+            self._begin_bursts(run, stage)
+            run.in_stage = True
+        if self._pull(run):
             return True
-        if self._fuse_bursts:
-            buffer.append((unit, run))
-            if len(buffer) >= self.fuse_width:
-                self._flush(buffer)
-        else:
-            # Host baseline / fusion off: execute in place, unfused.
-            # The unit's task is still current (nothing ran since its
-            # begin_task), so charges land on its lane naturally.
-            with self._slice(run):
-                counts = getattr(self.session.ctx, f"{unit.kind}_count_batch")(
-                    unit.a, unit.bs
-                )
-                unit.sink(counts)
+        # The stage is exhausted: run the logged bursts so its value is
+        # complete, then publish it.
+        self._sync()
+        self._end_bursts(run)
+        run.in_stage = False
+        run.value = stage.result(run.state)
+        if run.stage_key is not None:
+            self._publish(run.stage_key, run.value)
+        run.stage_idx += 1
+        if obs is not None and run.stage_span is not None:
+            obs.spans.end(
+                run.stage_span,
+                cycles=self.session.ctx.engine.tenant_work_cycles(run.tag)
+                - run.stage_w0,
+            )
+            run.stage_span = None
         return True
 
     def _finish(self, run: _PlanRun) -> None:
@@ -1034,27 +1329,65 @@ class PlanExecutor:
             self._publish(run.cache_key, run.output)
         run.finished = True
 
-    def _flush(self, buffer) -> None:
-        """Issue every buffered unit as fused macros (one macro per
-        maximal same-kind group; the first constituent carries the
-        macro decode)."""
-        if not buffer:
-            return
-        ctx = self.session.ctx
-        i = 0
-        n = len(buffer)
-        while i < n:
-            kind = buffer[i][0].kind
-            j = i
-            first = True
-            while j < n and buffer[j][0].kind == kind:
-                unit, run = buffer[j]
-                with self._slice(run), ctx.on_lane(unit.lane):
-                    counts = ctx.fused_count_burst(
-                        unit.a, unit.bs, kind=kind, include_decode=first
-                    )
-                    unit.sink(counts)
-                first = False
-                j += 1
-            i = j
-        buffer.clear()
+    # -- the burst log -------------------------------------------------
+    #
+    # A bursts stage's units are logged as they are pulled and executed
+    # at the sync points — a stage exhausting, a call stage starting,
+    # the deadlock drain, the end of the batch — where the per-unit
+    # stream drains its buffer; a failing batch still executes what
+    # that stream had executed (every pull, every full macro).
+
+    def _begin_bursts(self, run: _PlanRun, stage: PlanStage) -> None:
+        """Open ``run``'s bursts stage: build its table."""
+        if stage.table is None:
+            raise ConfigError(
+                f"bursts stage {stage.label!r} declares no table; batch "
+                "execution runs a bursts stage through its table"
+            )
+        session = self.session
+        session.ctx.engine.tenant_lanes(run.tag)
+        table = stage.table(session, run.state)
+        run.table = table
+        run.probes = table.probes.tolist()
+        run.offsets = table.offsets.tolist()
+        run.frontier = table.frontier.tolist()
+        run.bursts = np.flatnonzero(np.diff(table.offsets) > 0).tolist()
+        run.pulled = 0
+        run.placed = 0
+        run.scan_sizes = (
+            [m.cardinality for m in session.ctx.sm.metas_of(run.probes)]
+            if table.scan
+            else None
+        )
+        run.counts = np.zeros(len(run.frontier), dtype=np.int64)
+
+    def _pull(self, run: _PlanRun) -> bool:
+        """Pull ``run``'s next unit into the log (False: the stage is
+        exhausted)."""
+        return self._log.pull(run)
+
+    def _end_bursts(self, run: _PlanRun) -> None:
+        """Fold the synced counts of ``run``'s finished stage into its
+        state."""
+        run.table.reduce(run.state, run.counts)
+        run.table = None
+        run.counts = None
+
+    def _sync(self) -> None:
+        """A sync point: close the open macro and execute the log."""
+        self._log.flush()
+        self._log.run()
+
+    def _drain(self) -> bool:
+        """The deadlock drain: sync when bursts are buffered (False:
+        nothing to drain)."""
+        if not self._log.buffered:
+            return False
+        self._sync()
+        return True
+
+    def _abort(self) -> None:
+        """A batch is failing: execute what the per-unit stream had
+        executed — every pull and every closed macro, not the open
+        one."""
+        self._log.run()

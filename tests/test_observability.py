@@ -30,8 +30,11 @@ from repro.observability import (
 from repro.serving import FaultInjector, RetryPolicy, TenantQuota
 from repro.serving.health import HealthSnapshot, TenantHealth
 from repro.runtime import batch as batchmod
-from repro.session import ExecutionConfig, SessionPool, SisaSession
+from repro.session import ExecutionConfig, PlanExecutor, SessionPool, SisaSession
+from repro.session.plan import compile_plan
 from repro.streaming.incremental import local_triangle_counts
+
+from reference_executor import PerUnitExecutor
 
 
 def _graph(n=24, p=0.25, seed=7):
@@ -665,3 +668,91 @@ class TestWholeStageFeeds:
         assert sum(k.cycles for k in kernels) == pytest.approx(
             stage_span.cycles, rel=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# The fused batch driver: same feeds as the per-constituent stream
+# ---------------------------------------------------------------------------
+
+
+class TestFusedBatchFeeds:
+    """The fused batch driver executes a batch's logged bursts in one
+    pass per sync point; with tracing and observability on it must
+    record the per-constituent stream's trace events, dispatch
+    counters, burst and per-tenant set-size histograms and per-tenant
+    fused-macro counts, with one ``kernel:fused_*`` span per run and
+    pass, under the run's stage span, carrying its bursts' cycles."""
+
+    PAIRS = TestWholeStageFeeds.PAIRS
+
+    def _run(self, executor, graph):
+        config = ExecutionConfig(threads=8, result_cache=False, trace=True)
+        session = SisaSession(graph, config, observability=True)
+        session.setgraph
+        session.oriented_setgraph
+        picks = [
+            ("triangles", {}, "alice"),
+            ("local_clustering", {}, "bob"),
+            ("similarity_pairs", {"pairs": self.PAIRS}, "alice"),
+            ("clustering_coefficient", {}, "bob"),
+            ("similarity_pairs", {"pairs": self.PAIRS, "measure": "total_neighbors"}, "bob"),
+        ]
+        plans = [
+            compile_plan(session, name, params, tenant=tenant)
+            for name, params, tenant in picks
+        ]
+        return session, executor(session, fuse_width=4).execute(plans)
+
+    def test_fused_feeds_match_per_constituent_stream(self):
+        graph = chung_lu_graph(150, 500, gamma=2.2, seed=1)
+        (logged, results), (reference, expected) = (
+            self._run(executor, graph)
+            for executor in (PlanExecutor, PerUnitExecutor)
+        )
+        assert logged.ctx.trace.events == reference.ctx.trace.events
+        families = [s.obs.registry.families() for s in (logged, reference)]
+        for name in ("sisa_dispatch_total", "fused_macros_total"):
+            assert list(families[0][name].series.items()) == list(
+                families[1][name].series.items()
+            )
+        macros = families[0]["fused_macros_total"].series
+        assert macros[("alice",)] > 0 and macros[("bob",)] > 0
+        bursts = [
+            [
+                (k, (v.counts, v.sum, v.count))
+                for k, v in f["burst_modeled_cycles"].series.items()
+            ]
+            for f in families
+        ]
+        assert bursts[0] == bursts[1]
+        sizes = [
+            {t: (h.counts, h.total) for t, h in s.obs.set_sizes.items()}
+            for s in (logged, reference)
+        ]
+        assert sizes[0] == sizes[1]
+
+        kernels = ref_kernels = 0
+        for result, ref in zip(results, expected):
+            assert result.spans.cycles == ref.spans.cycles
+            stages = [c for c in result.spans.children if c.name.startswith("stage:")]
+            ref_stages = [c for c in ref.spans.children if c.name.startswith("stage:")]
+            assert [(c.name, c.cycles) for c in stages] == [
+                (c.name, c.cycles) for c in ref_stages
+            ]
+            for stage, ref_stage in zip(stages, ref_stages):
+                spans = [c for c in stage.children if c.name.startswith("kernel:")]
+                ref_spans = [
+                    c for c in ref_stage.children if c.name.startswith("kernel:")
+                ]
+                assert {c.name for c in spans} <= {c.name for c in ref_spans}
+                assert len(spans) <= len(ref_spans)
+                assert sum(c.cycles for c in spans) == pytest.approx(
+                    sum(c.cycles for c in ref_spans), rel=1e-12
+                )
+                assert sum(c.attrs["ops"] for c in spans) == sum(
+                    c.attrs["ops"] for c in ref_spans
+                )
+                kernels += len(spans)
+                ref_kernels += len(ref_spans)
+        # One span per run and pass instead of one per constituent.
+        assert 0 < kernels < ref_kernels

@@ -42,11 +42,15 @@ from repro.session import (
     SisaSession,
     WorkloadPlan,
 )
+from repro.analysis.static.schedule import certify_schedule
+from repro.session.plan import compile_plan
 from repro.session.registry import get_workload
 from repro.streaming.incremental import (
     clustering_coefficients_from_counts,
     degrees_of,
 )
+
+from reference_executor import PerUnitExecutor
 
 
 def _graph(seed=3, n=60, p=0.12):
@@ -406,6 +410,21 @@ class TestFusedExecution:
         assert second.cached
         assert second.instructions == 0
 
+    def test_blocked_runs_look_their_keys_up_once(self):
+        """A run waiting on a dedup key another run owns re-polls only
+        the batch's published values: one result-cache lookup per run
+        and key (triangles: plan + stage; the duplicate: its plan key;
+        clustering_coefficient: plan + the shared stage key), however
+        many rounds the waiters spend blocked."""
+        session = SisaSession(_graph(), ExecutionConfig(threads=8))
+        stats = session.cache_stats
+        results = session.run_many(
+            ["triangles", "triangles", "clustering_coefficient"], fuse=True
+        )
+        assert (stats.hits, stats.misses) == (0, 5)
+        assert [r.cached for r in results] == [False, True, False]
+        assert results[2].instructions == 0
+
     def test_host_baseline_runs_without_fusion(self):
         graph = _graph()
         session = SisaSession(graph, ExecutionConfig(threads=8, mode="cpu-set"))
@@ -437,37 +456,100 @@ class TestFusedExecution:
         # path; pin it from both entry points.
         _check_failed_batch_leaks_no_tenant_state(scheduled=True)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        at=st.integers(1, 64),
+        scheduled=st.booleans(),
+        fuse_width=st.integers(1, 9),
+    )
+    def test_failure_at_any_stage_matches_per_unit_stream(
+        self, at, scheduled, fuse_width
+    ):
+        _check_failed_batch_leaks_no_tenant_state(
+            scheduled=scheduled,
+            at=1 + (at - 1) % _stage_boundaries(scheduled),
+            fuse_width=fuse_width,
+        )
 
-def _check_failed_batch_leaks_no_tenant_state(*, scheduled):
-    from repro.analysis.static.schedule import certify_schedule
 
-    session = SisaSession(_graph(), ExecutionConfig(threads=8))
-    plans = [
-        session.compile("triangles"),
-        session.compile("fsm", sigma=0.5),
+class _FailAt:
+    """A fault injector raising at the ``at``-th stage boundary the
+    executor reaches (``at=None``: at the ``fsm`` plan's first)."""
+
+    def __init__(self, at=None):
+        self.at = at
+        self.seen = 0
+
+    def on_stage(self, plan, stage):
+        self.seen += 1
+        if self.seen == self.at or (self.at is None and plan.name == "fsm"):
+            raise SisaError("injected mid-batch failure")
+
+
+def _failing_batch(session):
+    """A multi-plan batch mixing every burst-stage kind and tenants,
+    with a duplicate (dedup) and an opaque plan."""
+    pairs = _watchlist(session.graph.num_vertices, 30)
+    picks = [
+        ("triangles", {}, "a"),
+        ("local_clustering", {}, "b"),
+        ("similarity_pairs", {"pairs": pairs, "measure": "jaccard"}, "a"),
+        ("clustering_coefficient", {}, None),
+        ("similarity_pairs", {"pairs": pairs, "measure": "total_neighbors"}, "b"),
+        ("triangles", {}, "b"),
+        ("kclique", {"k": 3}, None),
+    ]
+    return [
+        compile_plan(session, name, params, tenant=tenant)
+        for name, params, tenant in picks
     ]
 
-    # Malformed params now fail at compile (the serving rule engine),
-    # so force the mid-batch failure with a stage fault on the second
-    # plan instead: the first plan has already executed attributed
-    # slices when the batch dies.
-    class _FailSecondPlan:
-        def on_stage(self, plan, stage):
-            if plan.name == "fsm":
-                raise SisaError("injected mid-batch failure")
 
-    executor = PlanExecutor(
+def _check_failed_batch_leaks_no_tenant_state(*, scheduled, at=None, fuse_width=8):
+    """Fail a batch at a stage boundary, on the burst-log driver and on
+    the per-unit reference: both leak no tenant state and leave the
+    machine identical (what the per-unit stream had executed when the
+    fault struck still charged it), and the session then serves the
+    batch correctly."""
+    graph = _graph()
+    sessions = [
+        SisaSession(graph, ExecutionConfig(threads=8)) for __ in range(2)
+    ]
+    for session, cls in zip(sessions, (PlanExecutor, PerUnitExecutor)):
+        plans = _failing_batch(session) if at is not None else [
+            session.compile("triangles"),
+            session.compile("fsm", sigma=0.5),
+        ]
+        executor = cls(
+            session,
+            schedule=certify_schedule(plans) if scheduled else None,
+            fault_injector=_FailAt(at),
+            fuse_width=fuse_width,
+        )
+        with pytest.raises(SisaError, match="mid-batch"):
+            executor.execute(plans)
+        assert session.ctx.engine._tenants == {}
+    assert _batch_machine_state(sessions[0]) == _batch_machine_state(
+        sessions[1]
+    )
+    # The session still serves follow-up batches normally.
+    session = sessions[0]
+    fresh = SisaSession(graph, ExecutionConfig(threads=8))
+    served = session.run_many(_failing_batch(session), fuse=True)
+    expected = [fresh.run(p.name, **p.params) for p in _failing_batch(fresh)]
+    assert [repr(r.output) for r in served] == [repr(r.output) for r in expected]
+
+
+def _stage_boundaries(scheduled):
+    session = SisaSession(_graph(), ExecutionConfig(threads=8))
+    plans = _failing_batch(session)
+    counter = _FailAt(at=0)
+    PlanExecutor(
         session,
         schedule=certify_schedule(plans) if scheduled else None,
-        fault_injector=_FailSecondPlan(),
-    )
-    with pytest.raises(SisaError, match="mid-batch"):
-        executor.execute(plans)
-    assert session.ctx.engine._tenants == {}
-    # The session still serves follow-up batches normally.
-    (tri,) = session.run_many(["triangles"], fuse=True)
-    ref = SisaSession(_graph(), ExecutionConfig(threads=8)).run("triangles")
-    assert tri.output == ref.output
+        fault_injector=counter,
+    ).execute(plans)
+    return counter.seen
 
 
 # ---------------------------------------------------------------------------
@@ -843,3 +925,183 @@ class TestWholeStageExactness:
         plan.stages[1].table = None
         with pytest.raises(ConfigError, match="declares no table"):
             PlanExecutor(session, fuse=False).execute([plan])
+
+
+# ---------------------------------------------------------------------------
+# Batch burst log: the fused driver against the per-unit stream
+# ---------------------------------------------------------------------------
+
+
+_MEASURES = (
+    "jaccard", "overlap", "common_neighbors", "total_neighbors",
+    "adamic_adar", "resource_allocation", "preferential_attachment",
+)
+
+
+def _batch_machine_state(session) -> dict:
+    """Everything a batch leaves behind that the burst log must leave
+    exactly as the per-unit stream does."""
+    state = _stage_machine_state(session)
+    ctx = session.ctx
+    engine = ctx.engine
+    state["stats"] += (ctx.scu.stats.fused_macros,)
+    state["tenants"] = {
+        tag: [
+            (lane.compute_cycles, lane.memory_bytes, lane.latency_cycles, lane.tasks)
+            for lane in lanes
+        ]
+        for tag, lanes in engine._tenants.items()
+    }
+    cache = session._results
+    state["cache"] = (
+        list(cache._entries),
+        (cache.stats.hits, cache.stats.misses, cache.stats.skips),
+    )
+    obs = session.obs
+    if obs is not None:
+        families = {}
+        for name, family in obs.registry.families().items():
+            if name == "plan_wall_seconds":
+                continue  # wall clock
+            families[name] = [
+                (label, (v.counts, v.sum, v.count) if hasattr(v, "sum") else v)
+                for label, v in family.series.items()
+            ]
+        state["obs"] = (
+            families,
+            {t: (h.counts, h.total) for t, h in obs.set_sizes.items()},
+            (obs.tenant, obs.workload),
+        )
+    return state
+
+
+def _result_state(result) -> tuple:
+    spans = None
+    if result.spans is not None:
+        spans = [
+            (span.name, depth, span.cycles)
+            for span, depth in result.spans.walk()
+            if not span.name.startswith("kernel:")
+        ]
+    return (
+        repr(result.output),
+        result.report.lane_times,
+        result.report.lane_memory_times,
+        result.report.tasks,
+        result.report.runtime_cycles,
+        result.stats,
+        list(result.stats.by_opcode.items()),
+        result.registrations,
+        result.warm,
+        result.cached,
+        spans,
+    )
+
+
+def _batch_sessions(graph, config, observability):
+    sessions = []
+    for __ in range(2):
+        session = SisaSession(graph, config, observability=observability)
+        session.setgraph
+        session.oriented_setgraph
+        events = []
+        session.ctx.scu.memo_event = lambda op, key, _e=events: _e.append((op, key))
+        sessions.append((session, events))
+    return sessions
+
+
+class TestBatchBurstLog:
+    """The fused batch driver logs pulled units and executes them at
+    the sync points in one kernel call, one SCU pass and one engine
+    pass; everything it computes and models must equal the per-unit
+    stream's (:class:`PerUnitExecutor`), fused or not."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        graph=st.sampled_from(sorted(_STAGE_GRAPHS)),
+        regime=st.sampled_from(["default", "sa-only", "db-heavy", "cpu-set"]),
+        smb=st.sampled_from(sorted(_SMB)),
+        picks=st.lists(
+            st.sampled_from(
+                ["triangles", "clustering_coefficient", "local_clustering"]
+                + [f"sim:{m}" for m in _MEASURES]
+            ),
+            min_size=1,
+            max_size=7,
+        ),
+        tenants=st.lists(st.sampled_from(["a", "b", None]), min_size=7, max_size=7),
+        fuse_width=st.integers(1, 9),
+        threads=st.sampled_from([1, 3, 8]),
+        observability=st.booleans(),
+        trace=st.booleans(),
+        result_cache=st.booleans(),
+        scheduled=st.booleans(),
+        seed=st.integers(0, 3),
+    )
+    def test_log_matches_per_unit_stream(
+        self, graph, regime, smb, picks, tenants, fuse_width, threads,
+        observability, trace, result_cache, scheduled, seed,
+    ):
+        g = _STAGE_GRAPHS[graph]()
+        n = g.num_vertices
+        pairs = _watchlist(n, 20, seed=seed) if n > 1 else np.zeros((0, 2), np.int64)
+        config = ExecutionConfig(
+            threads=threads,
+            result_cache=result_cache,
+            trace=trace,
+            **_STAGE_REGIMES[regime],
+            **_SMB[smb],
+        )
+        sessions = _batch_sessions(g, config, observability)
+        results, published, shadows = [], [], []
+        for (session, __), cls in zip(sessions, (PlanExecutor, PerUnitExecutor)):
+            plans = [
+                compile_plan(
+                    session,
+                    "similarity_pairs",
+                    {"pairs": pairs, "measure": pick[4:]},
+                    tenant=tenant,
+                )
+                if pick.startswith("sim:")
+                else compile_plan(session, pick, {}, tenant=tenant)
+                for pick, tenant in zip(picks, tenants)
+            ]
+            executor = cls(
+                session,
+                fuse_width=fuse_width,
+                schedule=certify_schedule(plans) if scheduled else None,
+            )
+            # Every plan's shadow lanes, as the batch drops them.
+            engine = session.ctx.engine
+            dropped = {}
+            drop = engine.drop_tenant
+
+            def snapshot(tag, _engine=engine, _dropped=dropped, _drop=drop):
+                _dropped[tag] = [
+                    (lane.compute_cycles, lane.memory_bytes,
+                     lane.latency_cycles, lane.tasks)
+                    for lane in _engine._tenants.get(tag, ())
+                ]
+                _drop(tag)
+
+            engine.drop_tenant = snapshot
+            results.append(executor.execute(plans))
+            published.append(list(executor._done))
+            shadows.append(dropped)
+        log, ref = results
+        assert [_result_state(r) for r in log] == [_result_state(r) for r in ref]
+        assert published[0] == published[1]
+        assert shadows[0] == shadows[1]
+        (s0, e0), (s1, e1) = sessions
+        assert _batch_machine_state(s0) == _batch_machine_state(s1)
+        assert e0 == e1
+
+    @pytest.mark.parametrize("scheduled", [False, True])
+    def test_batch_bursts_stage_needs_a_table(self, scheduled):
+        session = SisaSession(_graph())
+        plan = session.compile("triangles")
+        plan.stages[1].table = None  # its units adapter stays
+        schedule = certify_schedule([plan]) if scheduled else None
+        with pytest.raises(ConfigError, match="declares no table"):
+            PlanExecutor(session, schedule=schedule).execute([plan])
+        assert session.ctx.engine._tenants == {}
