@@ -49,9 +49,6 @@ MODES = ("sisa", "cpu-set")
 _STAGE_OP_WORK = 8
 _STAGE_TASK_WORK = 4
 
-#: Burst kinds by index (per-op kind codes of a mixed count pass).
-_KIND_INDEX = {"intersect": 0, "union": 1, "difference": 2}
-
 
 @dataclass(frozen=True)
 class ContextMark:
@@ -629,8 +626,9 @@ class SisaContext:
     ) -> CountPass:
         """Execute a logged sequence of count bursts and task
         placements — possibly of different kinds, stages and tenants,
-        interleaved — in one flat kernel call, one SCU pass and one
-        engine pass.
+        interleaved — in one flat kernel call (split only past
+        ~:data:`~repro.runtime.batch.STAGE_PROBE_BUDGET` of probe
+        work), one SCU pass and one engine pass.
 
         Row ``r`` is one burst: ``kinds[r]`` counts of the set
         ``probes[r]`` against ``frontier[offsets[r]:offsets[r + 1]]``
@@ -639,10 +637,11 @@ class SisaContext:
         bursts dispatched op by op, or the per-row macro-decode flags
         of fused-macro constituents (the charging rule of
         :meth:`~repro.isa.scu.Scu.dispatch_binary_fused`).  Engine
-        segment ``s`` (the stream of :meth:`~repro.hw.engine.
-        ExecutionEngine.charge_tasks`) places a new task when
-        ``seg_task[s] < 0``, or charges the ``seg_task[s]``-th placed
-        task's lane; it first pays the scan of a set of
+        segment ``s`` (a segment of
+        :meth:`~repro.hw.engine.ExecutionEngine.charge_tasks`) places a
+        new task when ``seg_task[s] < 0``, or charges the
+        ``seg_task[s]``-th placed task's lane; it first pays the scan
+        of a set of
         ``seg_scan[s]`` elements (``-1``: none), then row
         ``seg_row[s]``'s ops and fetches (``-1``: none), mirrored into
         the shadow lanes ``seg_tenant[s]``.
@@ -727,12 +726,9 @@ class SisaContext:
         else:
             op = [self._COUNT_OPS[kind] for kind in kinds]
             counts = inter.copy()
-            kind_of = np.repeat(
-                np.asarray([_KIND_INDEX[kind] for kind in kinds], dtype=np.int8),
-                k,
-            )
+            kind_of = np.repeat(np.asarray(kinds), k)
             for kind in set(kinds) - {"intersect"}:
-                sel = kind_of == _KIND_INDEX[kind]
+                sel = kind_of == kind
                 counts[sel] = batchmod.derive_counts(
                     kind, size_a[sel], size_b[sel], inter[sel]
                 )

@@ -15,10 +15,7 @@ from repro.session import PlanExecutor
 
 
 class PerUnitExecutor(PlanExecutor):
-    """The per-unit reference driver: every pulled unit opens its task
-    at the pull (``table_units``) and runs in place (unfused) or as a
-    fused-macro constituent when its buffer flushes
-    (``ctx.fused_count_burst``), each in its own attributed slice."""
+    """:class:`PlanExecutor` with the per-unit burst hooks."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
